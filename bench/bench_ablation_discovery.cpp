@@ -54,7 +54,7 @@ Load run_one(std::size_t m) {
         40'000'000);
   }
 
-  const Time start = world.simulator().now();
+  const Time start = world.engine().now();
   auto requests = [&] {
     std::uint64_t total = 0;
     for (std::size_t s = 0; s < 2; ++s) {
@@ -99,7 +99,7 @@ Load run_one(std::size_t m) {
   Load load;
   load.server_requests = requests() - req_before;
   load.callbacks = callbacks() - cb_before;
-  load.interval_us = world.simulator().now() - start;
+  load.interval_us = world.engine().now() - start;
   return load;
 }
 

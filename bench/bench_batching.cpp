@@ -40,37 +40,36 @@ Result run_one(lwg::MappingMode mode, std::size_t n, Duration linger_us) {
   // The refill runs as a simulation event — the way a real application's
   // sends happen — so the messages one round produces coalesce even with
   // zero linger.
+  sim::Simulator& site0 = f.world->engine().site(0);
   auto pump = [&] {
-    f.world->simulator().schedule_after(0, [&] {
+    site0.schedule_after(0, [&] {
       const std::uint64_t prog_a = f.users[1]->delivered / n;
       const std::uint64_t prog_b = f.users[5]->delivered / n;
       for (LwgId g : f.set_a) {
         while (sent[g] < prog_a + kWindow) {
-          f.world->lwg(0).send(g, probe_payload(f.world->simulator().now(),
-                                                kBytes));
+          f.world->lwg(0).send(g, probe_payload(site0.now(), kBytes));
           sent[g]++;
         }
       }
       for (LwgId g : f.set_b) {
         while (sent[g] < prog_b + kWindow) {
-          f.world->lwg(4).send(g, probe_payload(f.world->simulator().now(),
-                                                kBytes));
+          f.world->lwg(4).send(g, probe_payload(site0.now(), kBytes));
           sent[g]++;
         }
       }
     });
   };
 
-  const Time warm_end = f.world->simulator().now() + 2'000'000;
-  while (f.world->simulator().now() < warm_end) {
+  const Time warm_end = f.world->engine().now() + 2'000'000;
+  while (f.world->engine().now() < warm_end) {
     pump();
     f.world->run_for(kTick);
   }
   std::uint64_t base = 0;
   for (const auto& u : f.users) base += u->delivered;
   const sim::NetworkStats before = f.world->network().stats();
-  const Time start = f.world->simulator().now();
-  while (f.world->simulator().now() < start + kMeasure) {
+  const Time start = f.world->engine().now();
+  while (f.world->engine().now() < start + kMeasure) {
     pump();
     f.world->run_for(kTick);
   }
@@ -88,7 +87,7 @@ Result run_one(lwg::MappingMode mode, std::size_t n, Duration linger_us) {
   Result r;
   if (delivered == 0 || frames == 0) return r;
   r.rate = metrics::rate_per_sec(end_count - base,
-                                 f.world->simulator().now() - start) / 4.0;
+                                 f.world->engine().now() - start) / 4.0;
   r.msgs_per_frame = msgs / frames;
   r.frames_per_msg = frames / delivered;
   r.baseline_frames_per_msg = msgs / delivered;

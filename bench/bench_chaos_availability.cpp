@@ -74,8 +74,8 @@ Availability run_one(std::uint64_t seed, Duration mean_partition_us) {
   constexpr Duration kRun = 120'000'000;
   constexpr Duration kSample = 100'000;
   std::uint64_t samples = 0, avail_part = 0, avail_primary = 0;
-  const Time end = world.simulator().now() + kRun;
-  while (world.simulator().now() < end) {
+  const Time end = world.engine().now() + kRun;
+  while (world.engine().now() < end) {
     chaos.run_for(kSample);
     for (std::size_t i = 0; i < kProcs; ++i) {
       ++samples;
@@ -169,10 +169,10 @@ CrashChurnResult run_crash_churn(std::uint64_t seed,
     }
   };
 
-  const Time end = world.simulator().now() + kRun;
-  while (world.simulator().now() < end) {
+  const Time end = world.engine().now() + kRun;
+  while (world.engine().now() < end) {
     chaos.run_for(kSample);
-    const Time now = world.simulator().now();
+    const Time now = world.engine().now();
     poll(now);
     for (std::size_t i = 0; i < kProcs; ++i) {
       ++samples;
@@ -184,9 +184,9 @@ CrashChurnResult run_crash_churn(std::uint64_t seed,
   chaos.quiesce();
   // Let the stragglers finish rejoining so MTTR covers every cycle.
   while (!awaiting_rejoin.empty() &&
-         world.simulator().now() < end + 120'000'000) {
+         world.engine().now() < end + 120'000'000) {
     world.run_for(kSample);
-    poll(world.simulator().now());
+    poll(world.engine().now());
   }
 
   CrashChurnResult out;

@@ -28,11 +28,11 @@ Result run_one(lwg::MappingMode mode, std::size_t n) {
   constexpr Duration kMeasure = 10'000'000;
   constexpr std::size_t kBytes = 64;
 
-  const Time end = f.world->simulator().now() + kWarmup + kMeasure;
-  Time measure_from = f.world->simulator().now() + kWarmup;
+  const Time end = f.world->engine().now() + kWarmup + kMeasure;
+  Time measure_from = f.world->engine().now() + kWarmup;
   bool cleared = false;
-  while (f.world->simulator().now() < end) {
-    const Time now = f.world->simulator().now();
+  while (f.world->engine().now() < end) {
+    const Time now = f.world->engine().now();
     if (!cleared && now >= measure_from) {
       f.latency.clear();
       cleared = true;

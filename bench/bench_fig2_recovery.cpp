@@ -22,7 +22,7 @@ Duration run_one(lwg::MappingMode mode, std::size_t n) {
   constexpr std::size_t kVictim = 3;  // member of every set-A group
   const ProcessId victim = f.world->pid(kVictim);
 
-  const Time crash_at = f.world->simulator().now();
+  const Time crash_at = f.world->engine().now();
   f.world->crash(kVictim);
 
   const std::vector<std::size_t> survivors{0, 1, 2};
@@ -39,7 +39,7 @@ Duration run_one(lwg::MappingMode mode, std::size_t n) {
       },
       120'000'000);
   if (!ok) return -1;
-  return f.world->simulator().now() - crash_at;
+  return f.world->engine().now() - crash_at;
 }
 
 }  // namespace

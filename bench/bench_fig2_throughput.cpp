@@ -48,37 +48,37 @@ Result run_one(lwg::MappingMode mode, std::size_t n) {
     const std::uint64_t prog_b = delivered_at(5) / n;
     for (LwgId g : f.set_a) {
       while (sent[g] < prog_a + kWindow) {
-        f.world->lwg(0).send(g, probe_payload(f.world->simulator().now(),
+        f.world->lwg(0).send(g, probe_payload(f.world->engine().now(),
                                               kBytes));
         sent[g]++;
       }
     }
     for (LwgId g : f.set_b) {
       while (sent[g] < prog_b + kWindow) {
-        f.world->lwg(4).send(g, probe_payload(f.world->simulator().now(),
+        f.world->lwg(4).send(g, probe_payload(f.world->engine().now(),
                                               kBytes));
         sent[g]++;
       }
     }
   };
 
-  const Time warm_end = f.world->simulator().now() + 3'000'000;
-  while (f.world->simulator().now() < warm_end) {
+  const Time warm_end = f.world->engine().now() + 3'000'000;
+  while (f.world->engine().now() < warm_end) {
     pump();
     f.world->run_for(kTick);
   }
   std::uint64_t base = 0;
   for (const auto& u : f.users) base += u->delivered;
   const std::uint64_t frames_base = f.world->network().stats().frames_sent;
-  const Time start = f.world->simulator().now();
-  while (f.world->simulator().now() < start + kMeasure) {
+  const Time start = f.world->engine().now();
+  while (f.world->engine().now() < start + kMeasure) {
     pump();
     f.world->run_for(kTick);
   }
   std::uint64_t end_count = 0;
   for (const auto& u : f.users) end_count += u->delivered;
   const std::uint64_t frames_end = f.world->network().stats().frames_sent;
-  const Time elapsed = f.world->simulator().now() - start;
+  const Time elapsed = f.world->engine().now() - start;
   Result r;
   // 4 deliveries per multicast (3 remote members + the sender's own copy):
   // normalize to end-to-end multicasts per second.

@@ -73,7 +73,7 @@ RunResult run_one(std::size_t m) {
   const auto views_before =
       world.vsync(0).endpoint(hwg)->stats().views_installed;
   world.heal();
-  const Time heal_at = world.simulator().now();
+  const Time heal_at = world.engine().now();
   const bool ok = world.run_until(
       [&] {
         for (LwgId id : ids) {
@@ -87,7 +87,7 @@ RunResult run_one(std::size_t m) {
       120'000'000);
   RunResult r;
   if (!ok) return r;
-  r.merge_time_us = world.simulator().now() - heal_at;
+  r.merge_time_us = world.engine().now() - heal_at;
   r.hwg_views =
       world.vsync(0).endpoint(hwg)->stats().views_installed - views_before;
   return r;

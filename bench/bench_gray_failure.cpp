@@ -93,11 +93,11 @@ bool victim_suspected(harness::SimWorld& world, HwgId gid) {
 /// Crash the victim and report how long until any peer suspects it (ms).
 double measure_detection_ms(harness::SimWorld& world, HwgId gid) {
   world.crash(kVictim);
-  const Time t0 = world.simulator().now();
+  const Time t0 = world.engine().now();
   const bool detected = world.run_until(
       [&] { return victim_suspected(world, gid); }, 30'000'000);
   if (!detected) return -1.0;
-  return static_cast<double>(world.simulator().now() - t0) / 1e3;
+  return static_cast<double>(world.engine().now() - t0) / 1e3;
 }
 
 struct GrayRun {
@@ -126,8 +126,8 @@ GrayRun run_gray_phase(vsync::DetectorKind kind, std::uint64_t seed) {
     world.network().stall_node(world.node(kVictim), kStallUs);
     bool suspected = false;
     const Time cycle_end =
-        world.simulator().now() + kStallUs + kRecoveryUs;
-    while (world.simulator().now() < cycle_end) {
+        world.engine().now() + kStallUs + kRecoveryUs;
+    while (world.engine().now() < cycle_end) {
       world.run_for(50'000);
       suspected = suspected || victim_suspected(world, gid);
     }

@@ -1,5 +1,6 @@
-// Hot-path microbenchmarks: simulator event loop, codec encode/decode, and
-// an end-to-end Fig. 2-style throughput run.
+// Hot-path microbenchmarks: simulator event loop, codec encode/decode,
+// member-set algebra, the Fig. 1 policy predicates, the PRNG, and an
+// end-to-end Fig. 2-style throughput run.
 //
 // These are the two layers every experiment funnels through (millions of
 // events, one codec pass per message), so this file is the regression gate
@@ -13,8 +14,11 @@
 
 #include "fig2_common.hpp"
 #include "lwg/messages.hpp"
+#include "lwg/policy.hpp"
 #include "sim/simulator.hpp"
 #include "util/codec.hpp"
+#include "util/member_set.hpp"
+#include "util/rng.hpp"
 #include "vsync/messages.hpp"
 
 namespace plwg {
@@ -187,6 +191,54 @@ void BM_CodecDecodeFlushAck(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecDecodeFlushAck);
 
+// --- member sets, policy, rng ------------------------------------------------
+
+MemberSet make_members(std::size_t n, std::uint32_t offset) {
+  MemberSet set;
+  for (std::uint32_t i = 0; i < n; ++i) set.insert(ProcessId{offset + i});
+  return set;
+}
+
+void BM_MemberSetIntersection(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const MemberSet a = make_members(n, 0);
+  const MemberSet b = make_members(n, static_cast<std::uint32_t>(n / 2));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.intersection_size(b));
+  }
+}
+BENCHMARK(BM_MemberSetIntersection)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_MemberSetUnion(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const MemberSet a = make_members(n, 0);
+  const MemberSet b = make_members(n, static_cast<std::uint32_t>(n / 2));
+  for (auto _ : state) {
+    MemberSet u = a.set_union(b);
+    benchmark::DoNotOptimize(u.members().data());
+  }
+}
+BENCHMARK(BM_MemberSetUnion)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_PolicyShareRule(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const MemberSet a = make_members(n, 0);
+  const MemberSet b = make_members(n, static_cast<std::uint32_t>(n / 4));
+  const lwg::policy::PolicyParams params{4.0, 4.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lwg::policy::should_collapse(a, b, params));
+  }
+}
+BENCHMARK(BM_PolicyShareRule)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_RngNextBelow(benchmark::State& state) {
+  Rng rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.next_below(1000));
+  }
+}
+BENCHMARK(BM_RngNextBelow);
+
 // --- end-to-end --------------------------------------------------------------
 
 // Fig. 2-style closed-loop throughput on the dynamic service, measured in
@@ -209,23 +261,23 @@ void BM_EndToEndFig2(benchmark::State& state) {
       for (LwgId g : f.set_a) {
         while (sent[g] < prog + kWindow) {
           f.world->lwg(0).send(
-              g, probe_payload(f.world->simulator().now(), kBytes));
+              g, probe_payload(f.world->engine().now(), kBytes));
           sent[g]++;
         }
       }
     };
     // Warmup: fill the windows before the timed section.
-    const Time warm_end = f.world->simulator().now() + 1'000'000;
-    while (f.world->simulator().now() < warm_end) {
+    const Time warm_end = f.world->engine().now() + 1'000'000;
+    while (f.world->engine().now() < warm_end) {
       pump();
       f.world->run_for(kTick);
     }
     std::uint64_t base = 0;
     for (const auto& u : f.users) base += u->delivered;
-    const std::uint64_t ev_base = f.world->simulator().total_events_run();
+    const std::uint64_t ev_base = f.world->engine().site_events_run(0);
     state.ResumeTiming();
-    const Time start = f.world->simulator().now();
-    while (f.world->simulator().now() < start + kMeasure) {
+    const Time start = f.world->engine().now();
+    while (f.world->engine().now() < start + kMeasure) {
       pump();
       f.world->run_for(kTick);
     }
@@ -233,7 +285,7 @@ void BM_EndToEndFig2(benchmark::State& state) {
     std::uint64_t end_count = 0;
     for (const auto& u : f.users) end_count += u->delivered;
     delivered_total += end_count - base;
-    events_total += f.world->simulator().total_events_run() - ev_base;
+    events_total += f.world->engine().site_events_run(0) - ev_base;
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered_total));

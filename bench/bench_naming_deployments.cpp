@@ -53,11 +53,11 @@ Result run_one(harness::NamingMode mode) {
                     20'000'000);
     for (std::size_t k = 1; k < 4; ++k) {
       const std::size_t p = first + k;
-      const Time start = world.simulator().now();
+      const Time start = world.engine().now();
       world.lwg(p).join(id, users[p]);
       world.run_until([&] { return world.lwg(p).view_of(id) != nullptr; },
                       20'000'000);
-      join_latency.record(world.simulator().now() - start);
+      join_latency.record(world.engine().now() - start);
     }
   }
   r.join_latency_ms = join_latency.mean_us() / 1000.0;

@@ -38,7 +38,7 @@ class CountingLatencyUser : public lwg::LwgUser {
   void on_lwg_data(LwgId, ProcessId,
                    std::span<const std::uint8_t> data) override {
     Decoder dec(data);
-    recorder_.record(world_.simulator().now() - dec.get_i64());
+    recorder_.record(world_.engine().log_now() - dec.get_i64());
   }
 
  private:
@@ -102,10 +102,10 @@ Result run_one(lwg::MappingMode mode, std::size_t n) {
 
   constexpr Duration kInterval = 20'000;
   constexpr Duration kMeasure = 8'000'000;
-  const Time end = world.simulator().now() + kMeasure;
+  const Time end = world.engine().now() + kMeasure;
   latency.clear();
-  while (world.simulator().now() < end) {
-    const Time now = world.simulator().now();
+  while (world.engine().now() < end) {
+    const Time now = world.engine().now();
     Encoder enc;
     enc.put_i64(now);
     std::vector<std::uint8_t> probe = enc.take();

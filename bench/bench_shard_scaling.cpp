@@ -136,9 +136,9 @@ RunResult run_one(const BenchCase& bc) {
       120'000'000);
 
   auto slice = [&](Duration us) {
-    const Time end = world.simulator().now() + us;
+    const Time end = world.engine().now() + us;
     std::uint64_t tick = 0;
-    while (world.simulator().now() < end) {
+    while (world.engine().now() < end) {
       for (std::size_t p = 0; p < cfg.num_processes; ++p) {
         // Hot-segment processes send every tick; the rest once per
         // kHotFactor ticks, staggered by process so cold load stays even.
@@ -147,7 +147,7 @@ RunResult run_one(const BenchCase& bc) {
           continue;
         }
         Encoder enc;
-        enc.put_i64(world.simulator().now());
+        enc.put_i64(world.engine().now());
         enc.put_bytes(std::vector<std::uint8_t>(56, 0xAB));
         world.lwg(p).send(LwgId{p / kPerSegment + 1}, enc.take());
       }

@@ -59,16 +59,16 @@ int main() {
       60'000'000);
   world.run_for(3'000'000);
   std::printf("[t=%lldms] pre-heal: partition p database (server 0):\n%s\n",
-              static_cast<long long>(world.simulator().now() / 1000),
+              static_cast<long long>(world.engine().now() / 1000),
               world.server(0).dump_database().c_str());
 
   world.heal();
-  const Time heal_at = world.simulator().now();
+  const Time heal_at = world.engine().now();
 
   std::string last = world.server(0).dump_database();
   int stage = 0;
   const Time deadline = heal_at + 150'000'000;
-  while (world.simulator().now() < deadline) {
+  while (world.engine().now() < deadline) {
     world.run_for(20'000);
     const std::string dump = world.server(0).dump_database();
     if (dump != last) {
@@ -76,7 +76,7 @@ int main() {
       ++stage;
       std::printf("[t=+%lldms] database state %d:\n%s\n",
                   static_cast<long long>(
-                      (world.simulator().now() - heal_at) / 1000),
+                      (world.engine().now() - heal_at) / 1000),
                   stage, dump.c_str());
     }
     // Stop once stage 4 is reached: one conflict-free row per LWG.
@@ -102,7 +102,7 @@ int main() {
               converged ? "yes" : "NO");
   std::printf("reconciliation completed %lld ms after heal, %d distinct "
               "database states observed\n",
-              static_cast<long long>((world.simulator().now() - heal_at) /
+              static_cast<long long>((world.engine().now() - heal_at) /
                                      1000),
               stage);
   return 0;

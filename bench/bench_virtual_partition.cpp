@@ -68,10 +68,10 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
     }
   };
 
-  const Time start = world.simulator().now();
+  const Time start = world.engine().now();
   if (real_partition) {
     world.partition({{0, 1, 2, 3}, {4, 5, 6, 7}}, {0});
-    while (world.simulator().now() - start < disturbance_us) {
+    while (world.engine().now() - start < disturbance_us) {
       world.run_for(100'000);
       observe();
     }
@@ -85,7 +85,7 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
         world.node(0), world.node(1), world.node(2), world.node(3),
         world.node(4), world.node(5), world.node(6), world.node(7)};
     const std::vector<std::uint8_t> junk(1400, 0);  // port 0: dropped cheaply
-    while (world.simulator().now() - start < disturbance_us) {
+    while (world.engine().now() - start < disturbance_us) {
       for (int i = 0; i < 3; ++i) {
         world.network().multicast(world.node(i), everyone, junk);
       }
@@ -93,7 +93,7 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
       observe();
     }
   }
-  const Time disturbance_end = world.simulator().now();
+  const Time disturbance_end = world.engine().now();
 
   // Recovery: a virtual partition mostly *manifests* after the storm, once
   // the queued traffic (and the suspicion evidence buried in it) drains.
@@ -113,7 +113,7 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
       },
       240'000'000);
   if (ok) {
-    out.reconverge_ms = (world.simulator().now() - disturbance_end) / 1000;
+    out.reconverge_ms = (world.engine().now() - disturbance_end) / 1000;
   }
   if (!out.fragmented) out.min_view = 8;
   return out;

@@ -35,7 +35,7 @@ class LatencyUser : public lwg::LwgUser {
   void on_lwg_data(LwgId, ProcessId,
                    std::span<const std::uint8_t> data) override {
     Decoder dec(data);
-    rec_.record(world_.simulator().now() - dec.get_i64());
+    rec_.record(world_.engine().log_now() - dec.get_i64());
     ++delivered;
   }
 
@@ -91,7 +91,7 @@ Result run_one(Duration wan_delay_us) {
   const std::uint64_t delivered_base = delivered_total();
   for (int m = 0; m < 50; ++m) {
     Encoder enc;
-    enc.put_i64(world.simulator().now());
+    enc.put_i64(world.engine().now());
     world.lwg(0).send(id, enc.take());
     world.run_for(100'000);
   }
@@ -118,7 +118,7 @@ Result run_one(Duration wan_delay_us) {
       },
       60'000'000);
   world.heal();
-  const Time heal_at = world.simulator().now();
+  const Time heal_at = world.engine().now();
   const bool ok = world.run_until(
       [&] {
         for (std::size_t i = 0; i < 6; ++i) {
@@ -130,7 +130,7 @@ Result run_one(Duration wan_delay_us) {
       240'000'000);
   if (ok) {
     r.reconcile_ms =
-        static_cast<double>(world.simulator().now() - heal_at) / 1000.0;
+        static_cast<double>(world.engine().now() - heal_at) / 1000.0;
   }
   return r;
 }
@@ -208,12 +208,12 @@ SegmentWorld make_segment_world(std::size_t segments, std::size_t threads,
 /// wall seconds spent inside the engine.
 double drive(SegmentWorld& sw, Duration sim_us, Duration period_us) {
   harness::SimWorld& world = *sw.world;
-  const Time end = world.simulator().now() + sim_us;
+  const Time end = world.engine().now() + sim_us;
   const auto t0 = std::chrono::steady_clock::now();
-  while (world.simulator().now() < end) {
+  while (world.engine().now() < end) {
     for (std::size_t p = 0; p < sw.cfg.num_processes; ++p) {
       Encoder enc;
-      enc.put_i64(world.simulator().now());
+      enc.put_i64(world.engine().now());
       world.lwg(p).send(LwgId{p / kPerSegment + 1}, enc.take());
     }
     world.run_for(period_us);

@@ -42,7 +42,7 @@ class LatencyUser : public lwg::LwgUser {
   void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t> data) override {
     Decoder dec(data);
     const Time sent = dec.get_i64();
-    recorder_.record(world_.simulator().now() - sent);
+    recorder_.record(world_.engine().log_now() - sent);
     ++delivered;
   }
 

@@ -40,7 +40,7 @@ class ChattyUser : public lwg::LwgUser {
 
  private:
   [[nodiscard]] double ms() const {
-    return static_cast<double>(world_.simulator().now()) / 1000.0;
+    return static_cast<double>(world_.engine().log_now()) / 1000.0;
   }
   std::string name_;
   harness::SimWorld& world_;

@@ -38,7 +38,7 @@ ChaosMonkey::ChaosMonkey(SimWorld& world, ChaosConfig config)
   // A disabled injector must not draw from the RNG: scenario replays depend
   // on the world seeing the exact same random stream regardless of chaos.
   next_event_ = config_.random_faults
-                    ? world_.simulator().now() +
+                    ? world_.engine().now() +
                           static_cast<Duration>(rng_.next_exponential(
                               static_cast<double>(config_.mean_interval_us)))
                     : kTimeMax;
@@ -55,7 +55,7 @@ void ChaosMonkey::load(const Scenario& scenario) {
   const std::size_t n = world_.num_processes();
   PLWG_ASSERT_MSG(scenario.processes <= n,
                   "scenario names more processes than the world has");
-  const Time base = world_.simulator().now();
+  const Time base = world_.engine().now();
   for (const ScenarioEvent& ev : scenario.events) {
     const Time at = base + ev.at_us;
     switch (ev.kind) {
@@ -226,17 +226,17 @@ void ChaosMonkey::load(const Scenario& scenario) {
 }
 
 void ChaosMonkey::run_for(Duration us) {
-  const Time deadline = world_.simulator().now() + us;
-  while (world_.simulator().now() < deadline) {
+  const Time deadline = world_.engine().now() + us;
+  while (world_.engine().now() < deadline) {
     fire_due_restarts();
     apply_due_actions();
-    if (config_.random_faults && next_event_ <= world_.simulator().now()) {
+    if (config_.random_faults && next_event_ <= world_.engine().now()) {
       inject();
     }
     const Time step = std::min(
         {deadline, next_event_, earliest_pending(), next_action_time()});
-    if (step > world_.simulator().now()) {
-      world_.run_for(step - world_.simulator().now());
+    if (step > world_.engine().now()) {
+      world_.run_for(step - world_.engine().now());
     }
   }
   fire_due_restarts();
@@ -258,7 +258,7 @@ void ChaosMonkey::quiesce() {
   // Fire every scheduled restart now: quiescence means the world settles
   // with everyone that was going to come back already back.
   for (PendingRestart& pr : pending_restarts_) {
-    pr.due = world_.simulator().now();
+    pr.due = world_.engine().now();
   }
   fire_due_restarts();
   next_event_ = kTimeMax;
@@ -286,7 +286,7 @@ bool ChaosMonkey::is_crashed(std::size_t index) const {
 }
 
 void ChaosMonkey::fire_due_restarts() {
-  const Time now = world_.simulator().now();
+  const Time now = world_.engine().now();
   for (std::size_t i = 0; i < pending_restarts_.size();) {
     if (pending_restarts_[i].due > now) {
       ++i;
@@ -303,7 +303,7 @@ void ChaosMonkey::fire_due_restarts() {
 
 void ChaosMonkey::apply_due_actions() {
   while (!schedule_.empty() &&
-         schedule_.begin()->first <= world_.simulator().now()) {
+         schedule_.begin()->first <= world_.engine().now()) {
     FaultAction action = std::move(schedule_.begin()->second);
     schedule_.erase(schedule_.begin());
     apply(action);
@@ -420,14 +420,14 @@ void ChaosMonkey::crash_now(std::size_t victim, Duration down_us) {
   crashed_.push_back(victim);
   crashes_injected_++;
   if (down_us > 0) {
-    const Time now = world_.simulator().now();
+    const Time now = world_.engine().now();
     pending_restarts_.push_back(
         PendingRestart{now + std::max<Duration>(down_us, 1'000), victim, now});
   }
 }
 
 void ChaosMonkey::inject() {
-  const Time now = world_.simulator().now();
+  const Time now = world_.engine().now();
   if (config_.crash_probability > 0 &&
       crashed_.size() < config_.max_crashes &&
       rng_.next_bool(config_.crash_probability)) {

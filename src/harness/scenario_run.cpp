@@ -98,11 +98,11 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
     }
   };
 
-  const Time fault_end = world.simulator().now() + scenario.run_us;
-  while (world.simulator().now() < fault_end) {
+  const Time fault_end = world.engine().now() + scenario.run_us;
+  while (world.engine().now() < fault_end) {
     chaos.run_for(std::min<Duration>(kSample,
-                                     fault_end - world.simulator().now()));
-    const Time now = world.simulator().now();
+                                     fault_end - world.engine().now()));
+    const Time now = world.engine().now();
     poll_rejoins(now);
     for (std::size_t i = 0; i < n; ++i) {
       if (std::find(chaos.crashed().begin(), chaos.crashed().end(), i) !=
@@ -132,12 +132,12 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   // Heal everything (quiesce asserts the fault state fully drains) and
   // measure family MTTR: sim time from quiesce to global convergence.
   chaos.quiesce();
-  const Time healed_at = world.simulator().now();
+  const Time healed_at = world.engine().now();
   result.converged = world.run_until(
       [&] { return world.convergence_failure().empty(); },
       scenario.converge_timeout_us);
   if (result.converged) {
-    result.recovery_us = world.simulator().now() - healed_at;
+    result.recovery_us = world.engine().now() - healed_at;
     world.verify_convergence();
   } else {
     // The liveness oracle: a healthy post-quiesce network blowing the
@@ -150,7 +150,7 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
       world.oracle().record_liveness_failure(result.failure);
     }
   }
-  poll_rejoins(world.simulator().now());
+  poll_rejoins(world.engine().now());
 
   result.partitions = chaos.partitions_injected();
   result.crashes = chaos.crashes_injected();

@@ -17,7 +17,6 @@
 #include "oracle/shard_mux.hpp"
 #include "sim/engine.hpp"
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "transport/node_runtime.hpp"
 #include "vsync/vsync_host.hpp"
 
@@ -69,11 +68,6 @@ class SimWorld {
   SimWorld(const SimWorld&) = delete;
   SimWorld& operator=(const SimWorld&) = delete;
 
-  /// Site-0 event loop. Its clock equals the engine horizon whenever the
-  /// world is idle, and single-LAN worlds (one site) run entirely on it —
-  /// existing `simulator().now()` / `schedule_after` call sites keep their
-  /// exact semantics.
-  [[nodiscard]] sim::Simulator& simulator() { return engine_.site(0); }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] sim::Network& network() { return *net_; }
   /// Combined deterministic trace digest (see sim::TraceDigest).

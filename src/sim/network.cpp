@@ -1,7 +1,6 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -27,55 +26,23 @@ void NetworkStats::accumulate(const NetworkStats& other) {
   stall_us += other.stall_us;
 }
 
-std::string NetworkStats::debug_dump() const {
-  char ratio[32];
-  std::snprintf(ratio, sizeof(ratio), "%.2f", amortization_ratio());
-  std::string out = "net{frames=" + std::to_string(frames_sent);
-  out += " msgs=" + std::to_string(messages_sent);
-  out += " amortization=" + std::string(ratio) + "x";
-  out += " piggybacked_acks=" + std::to_string(piggybacked_acks);
-  out += " deliveries=" + std::to_string(deliveries);
-  out += " bytes_on_wire=" + std::to_string(bytes_on_wire);
-  out += " drops=" + std::to_string(drops);
-  out += " link_blocked=" + std::to_string(link_blocked);
-  out += " corruptions=" + std::to_string(corruptions);
-  out += " stale_epoch_drops=" + std::to_string(stale_epoch_drops);
-  out += " bus_busy_us=" + std::to_string(bus_busy_us);
-  if (stalls > 0) {
-    out += " stalls=" + std::to_string(stalls);
-    out += " stall_deferred_sends=" + std::to_string(stall_deferred_sends);
-    out += " stall_us=" + std::to_string(stall_us);
-  }
-  out += "}";
-  return out;
-}
-
-Network::Network(Simulator& simulator, NetworkConfig config)
-    : config_(config) {
-  PLWG_ASSERT(config_.bandwidth_bps > 0);
-  sites_.resize(1);
-  sites_[0].sim = &simulator;
-  sites_[0].rng = Rng(config_.seed);
-}
-
 Network::Network(Engine& engine, NetworkConfig config)
-    : engine_(&engine), config_(config) {
+    : engine_(engine), config_(config) {
   PLWG_ASSERT(config_.bandwidth_bps > 0);
   sites_.resize(engine.num_sites());
-  // Per-site PRNG streams: site 0 keeps the classic stream (so a 1-site
-  // engine reproduces the classic form bit for bit); site i>0 gets an
-  // independent splitmix64-derived stream. Streams depend only on the seed
-  // and the site count — never on the thread count or the shard plan.
+  // Per-site PRNG streams: site 0 seeds straight from the config; site i>0
+  // gets an independent splitmix64-derived stream. Streams depend only on
+  // the seed and the site count — never on the thread count or the shard
+  // plan.
   std::uint64_t stream = config_.seed;
   for (std::size_t s = 0; s < sites_.size(); ++s) {
-    sites_[s].sim = &engine.site(s);
     sites_[s].rng = Rng(s == 0 ? config_.seed : splitmix64(stream));
   }
 }
 
 void Network::assert_idle(const char* what) const {
   (void)what;
-  PLWG_ASSERT_MSG(engine_ == nullptr || !engine_->running(),
+  PLWG_ASSERT_MSG(!engine_.running(),
                   "topology mutation while the engine is running");
 }
 
@@ -115,7 +82,7 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
   // call runs either inside that site's events or while the engine is
   // idle, so no other thread can touch it.
   SiteCtx& ctx = sites_[sender.site];
-  Simulator& sim = *ctx.sim;
+  Simulator& sim = engine_.site(sender.site);
 
   // A stalled process cannot run its event loop: the send is parked (not
   // lost) and fires the instant the stall lifts — the post-pause burst a
@@ -232,10 +199,10 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
     // re-check, a stale hop would post into a class the planner knows to be
     // unreachable and whose sites may have run arbitrarily far ahead.)
     const int cur_partition = nodes_[from.value()].partition;
-    SiteCtx& sctx = sites_[nodes_[from.value()].site];
+    const std::size_t src_site = nodes_[from.value()].site;
     Time& uplink_free =
-        sctx.uplink_free_at[bus_key(partition, src_segment)];
-    const Time wan_start = std::max(sctx.sim->now(), uplink_free);
+        sites_[src_site].uplink_free_at[bus_key(partition, src_segment)];
+    const Time wan_start = std::max(engine_.site(src_site).now(), uplink_free);
     const Time wan_end =
         wan_start + transmission_time(bytes, wan_.bandwidth_bps);
     uplink_free = wan_end;
@@ -250,10 +217,10 @@ void Network::multicast(NodeId from, std::span<const NodeId> dests,
                   nodes = std::move(nodes)] {
         segment_arrival(from, partition, segment, lan_tx, shared, nodes);
       };
-      if (engine_ != nullptr && dst_site != nodes_[from.value()].site) {
-        engine_->post(dst_site, backbone_out, std::move(hop));
+      if (dst_site != src_site) {
+        engine_.post(dst_site, backbone_out, std::move(hop));
       } else {
-        sites_[dst_site].sim->schedule_at(backbone_out, std::move(hop));
+        engine_.site(dst_site).schedule_at(backbone_out, std::move(hop));
       }
     }
   });
@@ -265,12 +232,13 @@ void Network::segment_arrival(
     const std::vector<NodeId>& nodes) {
   // Runs in the destination segment's site: its bus queue, fault RNG and
   // corruption counter are all local here.
-  SiteCtx& ctx = sites_[site_of_segment(segment)];
+  const std::size_t site = site_of_segment(segment);
+  SiteCtx& ctx = sites_[site];
+  const Time now = engine_.site(site).now();
   const Time seg_done =
       config_.shared_bus
-          ? occupy_bus(ctx, bus_key(partition, segment), ctx.sim->now(),
-                       lan_tx)
-          : ctx.sim->now();
+          ? occupy_bus(ctx, bus_key(partition, segment), now, lan_tx)
+          : now;
   for (NodeId to : nodes) {
     // Same wire-loss rule as the backbone edge: a re-cut while the frame
     // crossed the backbone drops it at the destination LAN.
@@ -320,21 +288,19 @@ void Network::set_segments(const std::vector<std::vector<NodeId>>& segments,
   wan_ = wan;
   multi_segment_ = segments.size() > 1;
   clear_queues();
-  if (engine_ != nullptr && sites_.size() > 1) {
+  if (sites_.size() > 1) {
     // Minimum cross-site latency: every inter-segment packet pays at least
     // 1us of uplink transmission plus the backbone propagation delay before
     // it can reach another site.
-    engine_->set_lookahead(wan_.propagation_delay_us + 1);
+    engine_.set_lookahead(wan_.propagation_delay_us + 1);
   }
-  if (engine_ != nullptr) {
-    // Seed the planner: per-site node counts are the static load estimate
-    // (event rates scale with population until measurements exist), and the
-    // current reachability classes bound what may share a shard.
-    std::vector<std::uint64_t> weights(sites_.size(), 0);
-    for (const NodeState& node : nodes_) weights[node.site]++;
-    engine_->set_site_weights(weights);
-    push_site_classes();
-  }
+  // Seed the planner: per-site node counts are the static load estimate
+  // (event rates scale with population until measurements exist), and the
+  // current reachability classes bound what may share a shard.
+  std::vector<std::uint64_t> weights(sites_.size(), 0);
+  for (const NodeState& node : nodes_) weights[node.site]++;
+  engine_.set_site_weights(weights);
+  push_site_classes();
   PLWG_INFO("net", "topology: ", segments.size(), " LAN segments on ",
             sites_.size(), " sites");
 }
@@ -365,8 +331,8 @@ std::vector<int> Network::site_classes() const {
 }
 
 void Network::push_site_classes() {
-  if (engine_ == nullptr || sites_.size() < 2) return;
-  engine_->set_site_classes(site_classes());
+  if (sites_.size() < 2) return;
+  engine_.set_site_classes(site_classes());
 }
 
 int Network::segment_of(NodeId n) const {
@@ -390,7 +356,7 @@ void Network::deliver(NodeId from, NodeId to,
   // the node crashes and restarts while the packet is in flight, the new
   // incarnation must not receive it.
   const std::uint32_t epoch = nodes_[to.value()].epoch;
-  Simulator& sim = *sites_[nodes_[to.value()].site].sim;
+  Simulator& sim = engine_.site(nodes_[to.value()].site);
   // Receiver CPU is a FIFO queue: processing starts when both the packet
   // has arrived and the CPU is free, and takes node_process_cost_us. The
   // CPU slot is claimed *at arrival* — claiming it at send time would let a
@@ -405,7 +371,8 @@ void Network::deliver(NodeId from, NodeId to,
       return;
     }
     if (receiver.crashed) return;  // dead incarnation: no CPU to occupy
-    const Time start = std::max(ctx.sim->now(), receiver.cpu_free_at);
+    Simulator& site = engine_.site(receiver.site);
+    const Time start = std::max(site.now(), receiver.cpu_free_at);
     Duration cost = config_.node_process_cost_us;
     if (receiver.cpu_factor != 1.0) {
       cost = std::max<Duration>(
@@ -416,8 +383,8 @@ void Network::deliver(NodeId from, NodeId to,
     receiver.cpu_free_at = done;
     // The buffer moves (not ref-bumps) through both hops: one multicast =
     // one encode = one shared buffer, refcounted once per destination.
-    ctx.sim->schedule_at(done, [this, from, to, epoch,
-                                data = std::move(data)] {
+    site.schedule_at(done, [this, from, to, epoch,
+                            data = std::move(data)] {
       NodeState& r = nodes_[to.value()];
       SiteCtx& c = sites_[r.site];
       if (r.epoch != epoch) {
@@ -426,7 +393,8 @@ void Network::deliver(NodeId from, NodeId to,
       }
       if (r.crashed) return;
       c.stats.deliveries++;
-      c.digest.record_delivery(c.sim->now(), from, to, data->size());
+      c.digest.record_delivery(engine_.site(r.site).now(), from, to,
+                               data->size());
       if (config_.digest_payloads) {
         c.digest.fold_bytes(std::span<const std::uint8_t>(*data));
       }
@@ -535,7 +503,7 @@ void Network::restart(NodeId n, NetHandler& handler) {
   node.crashed = false;
   node.epoch++;
   node.handler = &handler;
-  node.cpu_free_at = sites_[node.site].sim->now();
+  node.cpu_free_at = engine_.site(node.site).now();
   PLWG_INFO("net", "node ", n, " restarted (epoch ", node.epoch, ")");
 }
 
@@ -571,7 +539,7 @@ void Network::charge_cpu(NodeId n, Duration cost_us) {
         static_cast<Duration>(static_cast<double>(cost_us) * node.cpu_factor));
   }
   node.cpu_free_at =
-      std::max(sites_[node.site].sim->now(), node.cpu_free_at) + cost_us;
+      std::max(engine_.site(node.site).now(), node.cpu_free_at) + cost_us;
 }
 
 void Network::stall_node(NodeId n, Duration duration_us) {
@@ -580,7 +548,7 @@ void Network::stall_node(NodeId n, Duration duration_us) {
   PLWG_ASSERT(duration_us > 0);
   NodeState& node = nodes_[n.value()];
   SiteCtx& ctx = sites_[node.site];
-  const Time now = ctx.sim->now();
+  const Time now = engine_.site(node.site).now();
   node.stalled_until = std::max(node.stalled_until, now + duration_us);
   // The frozen process drains no inbound packets either: its receive CPU is
   // occupied until the stall ends, and any backlog queues behind that.
@@ -612,7 +580,7 @@ void Network::clear_node_faults() {
   bool any = false;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     NodeState& node = nodes_[i];
-    const Time now = sites_[node.site].sim->now();
+    const Time now = engine_.site(node.site).now();
     if (node.stalled_until > now) {
       // Forgive the stall's CPU backlog: convergence measurement starts
       // from a healthy node, not one still digesting its frozen interval.
@@ -630,7 +598,7 @@ void Network::clear_node_faults() {
 bool Network::node_stalled(NodeId n) const {
   PLWG_ASSERT(n.value() < nodes_.size());
   const NodeState& node = nodes_[n.value()];
-  return node.stalled_until > sites_[node.site].sim->now();
+  return node.stalled_until > engine_.site(node.site).now();
 }
 
 double Network::cpu_factor(NodeId n) const {
@@ -648,7 +616,7 @@ std::size_t Network::node_fault_count() const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const NodeState& node = nodes_[i];
     if (node.cpu_factor != 1.0 || node.clock_rate != 1.0 ||
-        node.stalled_until > sites_[node.site].sim->now()) {
+        node.stalled_until > engine_.site(node.site).now()) {
       ++count;
     }
   }
@@ -685,7 +653,7 @@ std::uint64_t Network::trace_digest() const {
   TraceDigest combined;
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     combined.combine(sites_[s].digest);
-    combined.fold_u64(sites_[s].sim->total_events_run());
+    combined.fold_u64(engine_.site(s).total_events_run());
   }
   return combined.value();
 }

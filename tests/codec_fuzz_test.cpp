@@ -8,7 +8,6 @@
 #include "lwg/messages.hpp"
 #include "names/messages.hpp"
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "transport/node_runtime.hpp"
 #include "util/rng.hpp"
 #include "vsync/messages.hpp"
@@ -131,8 +130,8 @@ TEST(CodecFuzz, NamesMessagesSurviveGarbage) {
 // The frame demux sits below every parser: arbitrary bytes handed to
 // on_packet must be counted and dropped, never asserted on or thrown past.
 TEST(CodecFuzz, TransportFrameDemuxSurvivesGarbage) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
+  sim::Engine engine;
+  sim::Network net(engine, sim::NetworkConfig{});
   transport::NodeRuntime a(net), b(net);
   struct Greedy : transport::PortHandler {
     void on_message(NodeId, Decoder& dec) override {
@@ -166,10 +165,10 @@ TEST(CodecFuzz, TransportFrameDemuxSurvivesGarbage) {
 // must decode to an untampered payload (checksum collisions aside, which
 // random bit flips cannot find).
 TEST(CodecFuzz, MutatedValidFramesSurviveTheDemux) {
-  sim::Simulator sim;
+  sim::Engine engine;
   sim::NetworkConfig cfg;
   cfg.corrupt_probability = 1.0;
-  sim::Network net(sim, cfg);
+  sim::Network net(engine, cfg);
   transport::NodeRuntime a(net), b(net);
   struct Collect : transport::PortHandler {
     void on_message(NodeId, Decoder& dec) override {
@@ -184,7 +183,7 @@ TEST(CodecFuzz, MutatedValidFramesSurviveTheDemux) {
     payload.put_u64(~static_cast<std::uint64_t>(i));
     a.send(transport::Port::kApp, b.id(), payload);
   }
-  sim.run();
+  engine.site(0).run();
   for (std::uint32_t v : collect.seen) EXPECT_LT(v, 500u);
   EXPECT_EQ(collect.seen.size() + b.stats().malformed_frames, 500u);
 }

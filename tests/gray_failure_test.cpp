@@ -9,73 +9,56 @@
 #include "harness/chaos.hpp"
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
+#include "net_testbed.hpp"
 #include "transport/node_runtime.hpp"
 
 namespace plwg {
 namespace {
 
-struct Recorder : sim::NetHandler {
-  explicit Recorder(sim::Simulator& sim) : sim_(sim) {}
-  void on_packet(NodeId, std::span<const std::uint8_t>) override {
-    arrivals.push_back(sim_.now());
-  }
-  sim::Simulator& sim_;
-  std::vector<Time> arrivals;
-};
+struct GrayNetworkTest : ::testing::Test, sim::testing::NetTestbed {};
 
 // --- network-level semantics ----------------------------------------------
 
-TEST(GrayNetworkTest, StallParksOutboundSendsUntilTheStallLifts) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
-  Recorder ra(sim), rb(sim);
-  const NodeId a = net.add_node(ra);
-  const NodeId b = net.add_node(rb);
+TEST_F(GrayNetworkTest, StallParksOutboundSendsUntilTheStallLifts) {
+  build(2);
+  const NodeId a = nodes[0], b = nodes[1];
 
-  net.stall_node(b, 100'000);
-  EXPECT_TRUE(net.node_stalled(b));
-  net.unicast(b, a, {1});  // parked: b is mid-stall
-  net.unicast(b, a, {2});
+  net->stall_node(b, 100'000);
+  EXPECT_TRUE(net->node_stalled(b));
+  net->unicast(b, a, {1});  // parked: b is mid-stall
+  net->unicast(b, a, {2});
   sim.run();
-  ASSERT_EQ(ra.arrivals.size(), 2u);
-  EXPECT_GE(ra.arrivals[0], 100'000);  // burst out when the stall lifted
-  EXPECT_EQ(net.stats().stalls, 1u);
-  EXPECT_EQ(net.stats().stall_deferred_sends, 2u);
-  EXPECT_FALSE(net.node_stalled(b));
+  ASSERT_EQ(handlers[0]->packets.size(), 2u);
+  // Burst out when the stall lifted.
+  EXPECT_GE(handlers[0]->packets[0].at, 100'000);
+  EXPECT_EQ(net->stats().stalls, 1u);
+  EXPECT_EQ(net->stats().stall_deferred_sends, 2u);
+  EXPECT_FALSE(net->node_stalled(b));
 }
 
-TEST(GrayNetworkTest, StallDefersInboundProcessingLikeAFrozenProcess) {
-  sim::Simulator sim;
-  sim::NetworkConfig cfg;
-  cfg.node_process_cost_us = 10;
-  sim::Network net(sim, cfg);
-  Recorder ra(sim), rb(sim);
-  const NodeId a = net.add_node(ra);
-  const NodeId b = net.add_node(rb);
+TEST_F(GrayNetworkTest, StallDefersInboundProcessingLikeAFrozenProcess) {
+  config.node_process_cost_us = 10;
+  build(2);
 
-  net.stall_node(b, 50'000);
-  net.unicast(a, b, {1});  // sender is healthy; the receiver is frozen
+  net->stall_node(nodes[1], 50'000);
+  // The sender is healthy; the receiver is frozen.
+  net->unicast(nodes[0], nodes[1], {1});
   sim.run();
-  ASSERT_EQ(rb.arrivals.size(), 1u);
-  EXPECT_GE(rb.arrivals[0], 50'000);
+  ASSERT_EQ(handlers[1]->packets.size(), 1u);
+  EXPECT_GE(handlers[1]->packets[0].at, 50'000);
 }
 
-TEST(GrayNetworkTest, CpuFactorMultipliesPerPacketCost) {
+TEST_F(GrayNetworkTest, CpuFactorMultipliesPerPacketCost) {
   const auto arrival_with_factor = [](double factor) {
-    sim::Simulator sim;
-    sim::NetworkConfig cfg;
-    cfg.node_process_cost_us = 100;
-    sim::Network net(sim, cfg);
-    Recorder ra(sim), rb(sim);
-    const NodeId a = net.add_node(ra);
-    const NodeId b = net.add_node(rb);
-    if (factor != 1.0) net.set_cpu_factor(b, factor);
-    net.unicast(a, b, {1});
-    net.unicast(a, b, {2});
-    sim.run();
-    return rb.arrivals.back();
+    sim::testing::NetTestbed tb;
+    tb.config.node_process_cost_us = 100;
+    sim::Network& network = tb.build(2);
+    const NodeId a = tb.nodes[0], b = tb.nodes[1];
+    if (factor != 1.0) network.set_cpu_factor(b, factor);
+    network.unicast(a, b, {1});
+    network.unicast(a, b, {2});
+    tb.sim.run();
+    return tb.handlers[1]->packets.back().at;
   };
   const Time base = arrival_with_factor(1.0);
   const Time slow = arrival_with_factor(10.0);
@@ -84,12 +67,11 @@ TEST(GrayNetworkTest, CpuFactorMultipliesPerPacketCost) {
   EXPECT_GE(slow - base, 900);
 }
 
-TEST(GrayNetworkTest, ClockRateSkewsHostTimers) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
-  transport::NodeRuntime slow(net), fast(net), normal(net);
-  net.set_clock_rate(slow.id(), 0.5);   // local clock runs at half speed
-  net.set_clock_rate(fast.id(), 2.0);   // double speed
+TEST_F(GrayNetworkTest, ClockRateSkewsHostTimers) {
+  build(0);
+  transport::NodeRuntime slow(*net), fast(*net), normal(*net);
+  net->set_clock_rate(slow.id(), 0.5);   // local clock runs at half speed
+  net->set_clock_rate(fast.id(), 2.0);   // double speed
   Time slow_fired = -1, fast_fired = -1, normal_fired = -1;
   slow.after(1'000, [&] { slow_fired = sim.now(); });
   fast.after(1'000, [&] { fast_fired = sim.now(); });
@@ -100,21 +82,18 @@ TEST(GrayNetworkTest, ClockRateSkewsHostTimers) {
   EXPECT_EQ(fast_fired, 500);    // a fast clock fires them early
 }
 
-TEST(GrayNetworkTest, ClearNodeFaultsLiftsEverything) {
-  sim::Simulator sim;
-  sim::Network net(sim, sim::NetworkConfig{});
-  Recorder ra(sim), rb(sim);
-  const NodeId a = net.add_node(ra);
-  const NodeId b = net.add_node(rb);
-  net.stall_node(a, 1'000'000);
-  net.set_cpu_factor(b, 4.0);
-  net.set_clock_rate(b, 0.8);
-  EXPECT_EQ(net.node_fault_count(), 2u);  // two degraded NODES
-  net.clear_node_faults();
-  EXPECT_EQ(net.node_fault_count(), 0u);
-  EXPECT_FALSE(net.node_stalled(a));
-  EXPECT_EQ(net.cpu_factor(b), 1.0);
-  EXPECT_EQ(net.clock_rate(b), 1.0);
+TEST_F(GrayNetworkTest, ClearNodeFaultsLiftsEverything) {
+  build(2);
+  const NodeId a = nodes[0], b = nodes[1];
+  net->stall_node(a, 1'000'000);
+  net->set_cpu_factor(b, 4.0);
+  net->set_clock_rate(b, 0.8);
+  EXPECT_EQ(net->node_fault_count(), 2u);  // two degraded NODES
+  net->clear_node_faults();
+  EXPECT_EQ(net->node_fault_count(), 0u);
+  EXPECT_FALSE(net->node_stalled(a));
+  EXPECT_EQ(net->cpu_factor(b), 1.0);
+  EXPECT_EQ(net->clock_rate(b), 1.0);
 }
 
 // --- scenario DSL ----------------------------------------------------------

@@ -37,17 +37,17 @@ TEST(SimWorld, ProcessIdsMatchIndexes) {
 
 TEST(SimWorld, RunForAdvancesSimulatedTime) {
   SimWorld world(WorldConfig{});
-  const Time before = world.simulator().now();
+  const Time before = world.engine().now();
   world.run_for(123'456);
-  EXPECT_EQ(world.simulator().now(), before + 123'456);
+  EXPECT_EQ(world.engine().now(), before + 123'456);
 }
 
 TEST(SimWorld, RunUntilStopsEarlyOnPredicate) {
   SimWorld world(WorldConfig{});
-  const Time start = world.simulator().now();
+  const Time start = world.engine().now();
   EXPECT_TRUE(world.run_until(
-      [&] { return world.simulator().now() >= start + 50'000; }, 10'000'000));
-  EXPECT_LT(world.simulator().now(), start + 1'000'000);
+      [&] { return world.engine().now() >= start + 50'000; }, 10'000'000));
+  EXPECT_LT(world.engine().now(), start + 1'000'000);
 }
 
 TEST(SimWorld, PartitionPlacesServersOnRequestedSides) {
@@ -100,7 +100,7 @@ TEST(SimWorld, IdenticalConfigsEvolveIdentically) {
       std::size_t views_seen;
       std::size_t deliveries;
     };
-    return Observation{world.simulator().now(), *world.lwg(0).view_of(id),
+    return Observation{world.engine().now(), *world.lwg(0).view_of(id),
                        users[0].views.size(), users[0].deliveries.size()};
   };
   const auto a = run_scenario();

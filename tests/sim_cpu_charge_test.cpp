@@ -2,87 +2,60 @@
 // reception at a node (the cost model behind the Fig. 2 recovery shapes).
 #include <gtest/gtest.h>
 
-#include "sim/network.hpp"
+#include "net_testbed.hpp"
 
 namespace plwg::sim {
 namespace {
 
-struct Recorder : NetHandler {
-  explicit Recorder(Simulator& sim) : sim_(sim) {}
-  void on_packet(NodeId, std::span<const std::uint8_t>) override {
-    arrivals.push_back(sim_.now());
-  }
-  Simulator& sim_;
-  std::vector<Time> arrivals;
-};
+struct CpuCharge : ::testing::Test, testing::NetTestbed {};
 
-TEST(CpuCharge, DelaysSubsequentDeliveries) {
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.node_process_cost_us = 100;
-  cfg.propagation_delay_us = 50;
-  Network net(sim, cfg);
-  Recorder sender(sim), receiver(sim);
-  const NodeId a = net.add_node(sender);
-  const NodeId b = net.add_node(receiver);
-
-  net.unicast(a, b, {1});
+TEST_F(CpuCharge, DelaysSubsequentDeliveries) {
+  config.node_process_cost_us = 100;
+  config.propagation_delay_us = 50;
+  build(2);
+  net->unicast(nodes[0], nodes[1], {1});
   sim.run();
-  const Time baseline = receiver.arrivals.at(0);
+  const Time baseline = handlers[1]->packets.at(0).at;
 
   // Same send again, but with 10 ms of protocol work charged first.
-  net.charge_cpu(b, 10'000);
-  net.unicast(a, b, {2});
+  net->charge_cpu(nodes[1], 10'000);
+  net->unicast(nodes[0], nodes[1], {2});
   sim.run();
-  const Time delayed = receiver.arrivals.at(1);
+  const Time delayed = handlers[1]->packets.at(1).at;
   EXPECT_GE(delayed - baseline, 10'000);
 }
 
-TEST(CpuCharge, ChargesAccumulate) {
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.node_process_cost_us = 10;
-  Network net(sim, cfg);
-  Recorder sender(sim), receiver(sim);
-  const NodeId a = net.add_node(sender);
-  const NodeId b = net.add_node(receiver);
-  net.charge_cpu(b, 1'000);
-  net.charge_cpu(b, 1'000);
-  net.charge_cpu(b, 1'000);
-  net.unicast(a, b, {1});
+TEST_F(CpuCharge, ChargesAccumulate) {
+  config.node_process_cost_us = 10;
+  build(2);
+  net->charge_cpu(nodes[1], 1'000);
+  net->charge_cpu(nodes[1], 1'000);
+  net->charge_cpu(nodes[1], 1'000);
+  net->unicast(nodes[0], nodes[1], {1});
   sim.run();
-  EXPECT_GE(receiver.arrivals.at(0), 3'000);
+  EXPECT_GE(handlers[1]->packets.at(0).at, 3'000);
 }
 
-TEST(CpuCharge, DoesNotAffectOtherNodes) {
-  Simulator sim;
-  Network net(sim, NetworkConfig{});
-  Recorder sender(sim), r1(sim), r2(sim);
-  const NodeId a = net.add_node(sender);
-  const NodeId b = net.add_node(r1);
-  const NodeId c = net.add_node(r2);
-  net.charge_cpu(b, 50'000);
-  const std::vector<NodeId> dests{b, c};
-  net.multicast(a, dests, {1});
+TEST_F(CpuCharge, DoesNotAffectOtherNodes) {
+  build(3);
+  net->charge_cpu(nodes[1], 50'000);
+  const std::vector<NodeId> dests{nodes[1], nodes[2]};
+  net->multicast(nodes[0], dests, {1});
   sim.run();
-  ASSERT_EQ(r1.arrivals.size(), 1u);
-  ASSERT_EQ(r2.arrivals.size(), 1u);
-  EXPECT_LT(r2.arrivals[0], r1.arrivals[0]);
+  ASSERT_EQ(handlers[1]->packets.size(), 1u);
+  ASSERT_EQ(handlers[2]->packets.size(), 1u);
+  EXPECT_LT(handlers[2]->packets[0].at, handlers[1]->packets[0].at);
 }
 
-TEST(CpuCharge, ZeroChargeIsNoop) {
-  Simulator sim;
-  Network net(sim, NetworkConfig{});
-  Recorder sender(sim), receiver(sim);
-  const NodeId a = net.add_node(sender);
-  const NodeId b = net.add_node(receiver);
-  net.unicast(a, b, {1});
+TEST_F(CpuCharge, ZeroChargeIsNoop) {
+  build(2);
+  net->unicast(nodes[0], nodes[1], {1});
   sim.run();
-  const Time baseline = receiver.arrivals.at(0);
-  net.charge_cpu(b, 0);
-  net.unicast(a, b, {2});
+  const Time baseline = handlers[1]->packets.at(0).at;
+  net->charge_cpu(nodes[1], 0);
+  net->unicast(nodes[0], nodes[1], {2});
   sim.run();
-  EXPECT_EQ(receiver.arrivals.at(1), 2 * baseline);
+  EXPECT_EQ(handlers[1]->packets.at(1).at, 2 * baseline);
 }
 
 }  // namespace

@@ -1,49 +1,14 @@
-#include "sim/network.hpp"
-
 #include <gtest/gtest.h>
 
 #include <array>
 #include <vector>
 
+#include "net_testbed.hpp"
+
 namespace plwg::sim {
 namespace {
 
-struct Recorder : NetHandler {
-  struct Packet {
-    NodeId from;
-    std::vector<std::uint8_t> data;
-    Time at;
-  };
-  explicit Recorder(Simulator& sim) : sim_(sim) {}
-  void on_packet(NodeId from, std::span<const std::uint8_t> data) override {
-    packets.push_back(Packet{from, {data.begin(), data.end()}, sim_.now()});
-  }
-  Simulator& sim_;
-  std::vector<Packet> packets;
-};
-
-struct NetFixture : ::testing::Test {
-  NetFixture() {
-    NetworkConfig cfg;
-    cfg.propagation_delay_us = 50;
-    cfg.node_process_cost_us = 100;
-    cfg.bandwidth_bps = 10e6;
-    cfg.header_bytes = 46;
-    config = cfg;
-  }
-  void build(std::size_t n) {
-    net = std::make_unique<Network>(sim, config);
-    for (std::size_t i = 0; i < n; ++i) {
-      handlers.push_back(std::make_unique<Recorder>(sim));
-      nodes.push_back(net->add_node(*handlers.back()));
-    }
-  }
-  Simulator sim;
-  NetworkConfig config;
-  std::unique_ptr<Network> net;
-  std::vector<std::unique_ptr<Recorder>> handlers;
-  std::vector<NodeId> nodes;
-};
+struct NetFixture : ::testing::Test, testing::NetTestbed {};
 
 TEST_F(NetFixture, UnicastDelivers) {
   build(2);
@@ -210,6 +175,15 @@ TEST_F(NetFixture, MulticastAcrossPartitionClassesStillChargesOnce) {
   EXPECT_EQ(st.frames_sent - base.frames_sent, 1u);
   EXPECT_EQ(st.bytes_sent - base.bytes_sent, payload.size());
   EXPECT_EQ(st.deliveries - base.deliveries, 1u);
+}
+
+// Topology mutations are driver-thread, idle-engine operations; one made
+// from inside a running site event must abort, not race the site threads.
+TEST_F(NetFixture, TopologyMutationInsideARunningEngineDies) {
+  build(2);
+  sim.schedule_at(10, [&] { net->crash(nodes[1]); });
+  EXPECT_DEATH(engine.run_until(100),
+               "topology mutation while the engine is running");
 }
 
 // --- per-directed-link faults -------------------------------------------

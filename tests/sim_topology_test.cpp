@@ -6,93 +6,71 @@
 
 #include "harness/world.hpp"
 #include "lwg_fixture.hpp"
-#include "sim/network.hpp"
+#include "net_testbed.hpp"
 
 namespace plwg {
 namespace {
 
-struct Recorder : sim::NetHandler {
-  explicit Recorder(sim::Simulator& sim) : sim_(sim) {}
-  void on_packet(NodeId, std::span<const std::uint8_t>) override {
-    arrivals.push_back(sim_.now());
-  }
-  sim::Simulator& sim_;
-  std::vector<Time> arrivals;
-};
-
-class TopologyTest : public ::testing::Test {
- protected:
-  void build(std::size_t n) {
-    net_ = std::make_unique<sim::Network>(sim_, sim::NetworkConfig{});
-    for (std::size_t i = 0; i < n; ++i) {
-      handlers_.push_back(std::make_unique<Recorder>(sim_));
-      nodes_.push_back(net_->add_node(*handlers_.back()));
-    }
-  }
-  sim::Simulator sim_;
-  std::unique_ptr<sim::Network> net_;
-  std::vector<std::unique_ptr<Recorder>> handlers_;
-  std::vector<NodeId> nodes_;
-};
+struct TopologyTest : ::testing::Test, sim::testing::NetTestbed {};
 
 TEST_F(TopologyTest, IntraSegmentLatencyUnchanged) {
   build(4);
-  net_->unicast(nodes_[0], nodes_[1], {1});
-  sim_.run();
-  const Time single_bus = handlers_[1]->arrivals.at(0);
+  net->unicast(nodes[0], nodes[1], {1});
+  sim.run();
+  const Time single_bus = handlers[1]->packets.at(0).at;
 
-  handlers_[1]->arrivals.clear();
-  net_->set_segments({{nodes_[0], nodes_[1]}, {nodes_[2], nodes_[3]}},
-                     sim::WanConfig{});
-  net_->unicast(nodes_[0], nodes_[1], {1});
-  sim_.run();
-  EXPECT_EQ(handlers_[1]->arrivals.at(0) - single_bus, single_bus);
+  handlers[1]->packets.clear();
+  net->set_segments({{nodes[0], nodes[1]}, {nodes[2], nodes[3]}},
+                    sim::WanConfig{});
+  net->unicast(nodes[0], nodes[1], {1});
+  sim.run();
+  EXPECT_EQ(handlers[1]->packets.at(0).at - single_bus, single_bus);
 }
 
 TEST_F(TopologyTest, InterSegmentPaysTheBackbone) {
   build(4);
   sim::WanConfig wan;
   wan.propagation_delay_us = 5'000;
-  net_->set_segments({{nodes_[0], nodes_[1]}, {nodes_[2], nodes_[3]}}, wan);
-  net_->unicast(nodes_[0], nodes_[1], {1});  // same LAN
-  net_->unicast(nodes_[0], nodes_[2], {1});  // cross LAN
-  sim_.run();
-  const Time local = handlers_[1]->arrivals.at(0);
-  const Time remote = handlers_[2]->arrivals.at(0);
+  net->set_segments({{nodes[0], nodes[1]}, {nodes[2], nodes[3]}}, wan);
+  net->unicast(nodes[0], nodes[1], {1});  // same LAN
+  net->unicast(nodes[0], nodes[2], {1});  // cross LAN
+  sim.run();
+  const Time local = handlers[1]->packets.at(0).at;
+  const Time remote = handlers[2]->packets.at(0).at;
   EXPECT_GE(remote - local, wan.propagation_delay_us);
 }
 
 TEST_F(TopologyTest, MulticastForwardsOncePerRemoteSegment) {
   build(6);
-  net_->set_segments({{nodes_[0], nodes_[1]},
-                      {nodes_[2], nodes_[3]},
-                      {nodes_[4], nodes_[5]}},
-                     sim::WanConfig{});
-  net_->reset_stats();
-  const std::vector<NodeId> dests{nodes_[1], nodes_[2], nodes_[3], nodes_[4],
-                                  nodes_[5]};
-  net_->multicast(nodes_[0], dests, std::vector<std::uint8_t>(100, 0));
-  sim_.run();
+  net->set_segments({{nodes[0], nodes[1]},
+                     {nodes[2], nodes[3]},
+                     {nodes[4], nodes[5]}},
+                    sim::WanConfig{});
+  net->reset_stats();
+  const std::vector<NodeId> dests{nodes[1], nodes[2], nodes[3], nodes[4],
+                                  nodes[5]};
+  net->multicast(nodes[0], dests, std::vector<std::uint8_t>(100, 0));
+  sim.run();
   for (std::size_t i = 1; i < 6; ++i) {
-    EXPECT_EQ(handlers_[i]->arrivals.size(), 1u) << "node " << i;
+    EXPECT_EQ(handlers[i]->packets.size(), 1u) << "node " << i;
   }
   // One source transmission + two remote-segment re-transmissions: three
   // LAN bus occupancies (plus the backbone, accounted separately).
-  EXPECT_EQ(net_->stats().frames_sent, 1u);
+  EXPECT_EQ(net->stats().frames_sent, 1u);
   // Same-segment pairs arrive together; cross-segment later.
-  EXPECT_EQ(handlers_[2]->arrivals[0] > handlers_[1]->arrivals[0], true);
+  EXPECT_EQ(handlers[2]->packets[0].at > handlers[1]->packets[0].at, true);
 }
 
 TEST_F(TopologyTest, BackboneSerializesCrossTraffic) {
   build(4);
   sim::WanConfig wan;
   wan.bandwidth_bps = 1e6;  // slow backbone
-  net_->set_segments({{nodes_[0], nodes_[1]}, {nodes_[2], nodes_[3]}}, wan);
-  net_->unicast(nodes_[0], nodes_[2], std::vector<std::uint8_t>(500, 0));
-  net_->unicast(nodes_[1], nodes_[3], std::vector<std::uint8_t>(500, 0));
-  sim_.run();
-  const Time a = handlers_[2]->arrivals.at(0);
-  const Time b = handlers_[3]->arrivals.at(0);
+  net->set_segments({{nodes[0], nodes[1]}, {nodes[2], nodes[3]}}, wan);
+  net->unicast(nodes[0], nodes[2], std::vector<std::uint8_t>(500, 0));
+  net->unicast(nodes[1], nodes[3], std::vector<std::uint8_t>(500, 0));
+  sim.run();
+  const Time a = handlers[2]->packets.at(0).at;
+  const Time b = handlers[3]->packets.at(0).at;
   // The second crossing waits for the first on the backbone: gap at least
   // one backbone transmission time ((500+46)*8 / 1 Mbps ≈ 4.4 ms).
   EXPECT_GE(b - a, 4'000);

@@ -10,7 +10,6 @@
 #include <functional>
 
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "transport/node_runtime.hpp"
 
 namespace plwg::transport {
@@ -27,7 +26,7 @@ struct Recorder : PortHandler {
 
 class BackpressureTest : public ::testing::Test {
  protected:
-  BackpressureTest() : net_(sim_, sim::NetworkConfig{}) {}
+  BackpressureTest() : net_(engine_, sim::NetworkConfig{}) {}
 
   static Encoder make_payload(std::uint32_t v, std::size_t pad_words = 0) {
     Encoder e;
@@ -36,7 +35,8 @@ class BackpressureTest : public ::testing::Test {
     return e;
   }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;  // one site: sim_ is its event loop
+  sim::Simulator& sim_ = engine_.site(0);
   sim::Network net_;
 };
 

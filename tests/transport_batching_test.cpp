@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "transport/node_runtime.hpp"
 
 namespace plwg::transport {
@@ -25,7 +24,7 @@ struct Recorder : PortHandler {
 class TransportBatchingTest : public ::testing::Test {
  protected:
   explicit TransportBatchingTest(sim::NetworkConfig cfg = {})
-      : net_(sim_, cfg) {}
+      : net_(engine_, cfg) {}
 
   static Encoder make_payload(std::uint32_t v) {
     Encoder e;
@@ -33,7 +32,8 @@ class TransportBatchingTest : public ::testing::Test {
     return e;
   }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;  // one site: sim_ is its event loop
+  sim::Simulator& sim_ = engine_.site(0);
   sim::Network net_;
 };
 

@@ -13,7 +13,6 @@
 
 #include "oracle/oracle.hpp"
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "transport/node_runtime.hpp"
 #include "vsync/vsync_host.hpp"
 
@@ -74,7 +73,7 @@ class VsyncFixture : public ::testing::Test {
  protected:
   void build(std::size_t n, sim::NetworkConfig net_cfg = {},
              VsyncConfig vs_cfg = {}) {
-    net_ = std::make_unique<sim::Network>(sim_, net_cfg);
+    net_ = std::make_unique<sim::Network>(engine_, net_cfg);
 #ifndef PLWG_ORACLE_DISABLED
     oracle_ = std::make_unique<oracle::ProtocolOracle>(
         [this] { return sim_.now(); });
@@ -138,7 +137,8 @@ class VsyncFixture : public ::testing::Test {
     return data;
   }
 
-  sim::Simulator sim_;
+  sim::Engine engine_;  // one site: sim_ is its event loop
+  sim::Simulator& sim_ = engine_.site(0);
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<oracle::ProtocolOracle> oracle_;
   std::vector<std::unique_ptr<transport::NodeRuntime>> nodes_;
