@@ -16,12 +16,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Load {
   std::uint64_t server_requests = 0;  // set/read/testset processed
   std::uint64_t callbacks = 0;        // MULTIPLE-MAPPINGS pushed
@@ -34,7 +28,7 @@ Load run_one(std::size_t m) {
   cfg.num_processes = 8;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(8);
+  std::vector<lwg::NullUser> users(8);
 
   std::vector<LwgId> ids;
   for (std::size_t g = 0; g < m; ++g) ids.push_back(LwgId{100 + g});

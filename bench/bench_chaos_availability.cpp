@@ -30,12 +30,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Availability {
   double partitionable = 0;
   double primary_component = 0;
@@ -49,7 +43,7 @@ Availability run_one(std::uint64_t seed, Duration mean_partition_us) {
   cfg.num_processes = kProcs;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(kProcs);
+  std::vector<lwg::NullUser> users(kProcs);
   const LwgId id{1};
   world.lwg(0).join(id, users[0]);
   world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
@@ -113,7 +107,7 @@ CrashChurnResult run_crash_churn(std::uint64_t seed,
   cfg.num_processes = kProcs;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(kProcs);
+  std::vector<lwg::NullUser> users(kProcs);
   const LwgId id{1};
   world.lwg(0).join(id, users[0]);
   world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },

@@ -16,12 +16,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Outcome {
   bool evicted = false;
   std::uint64_t switches = 0;
@@ -37,7 +31,7 @@ Outcome run_one(double k_m, double k_c) {
   cfg.lwg.policy_period_us = 2'000'000;
   cfg.lwg.shrink_delay_us = 4'000'000;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(8);
+  std::vector<lwg::NullUser> users(8);
 
   const LwgId big{1};
   const LwgId small{2};

@@ -30,12 +30,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 constexpr std::size_t kProcs = 6;
 constexpr std::size_t kVictim = kProcs - 1;  // never the acting coordinator
 constexpr Duration kStallUs = 1'300'000;     // past the 1 s floor, sub-lethal
@@ -57,7 +51,7 @@ harness::WorldConfig world_config(vsync::DetectorKind kind,
 }
 
 /// Form one LWG over every process; returns the backing HWG id.
-HwgId form_group(harness::SimWorld& world, std::vector<NullUser>& users) {
+HwgId form_group(harness::SimWorld& world, std::vector<lwg::NullUser>& users) {
   const LwgId id{1};
   world.lwg(0).join(id, users[0]);
   world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
@@ -108,7 +102,7 @@ struct GrayRun {
 /// Clean-history crash detection: steady heartbeats, then a real crash.
 double run_clean_detection(vsync::DetectorKind kind, std::uint64_t seed) {
   harness::SimWorld world(world_config(kind, seed));
-  std::vector<NullUser> users(kProcs);
+  std::vector<lwg::NullUser> users(kProcs);
   const HwgId gid = form_group(world, users);
   world.run_for(5'000'000);  // settle into a metronomic heartbeat history
   return measure_detection_ms(world, gid);
@@ -117,7 +111,7 @@ double run_clean_detection(vsync::DetectorKind kind, std::uint64_t seed) {
 /// The gray phase: a train of sub-lethal stalls, then a real crash.
 GrayRun run_gray_phase(vsync::DetectorKind kind, std::uint64_t seed) {
   harness::SimWorld world(world_config(kind, seed));
-  std::vector<NullUser> users(kProcs);
+  std::vector<lwg::NullUser> users(kProcs);
   const HwgId gid = form_group(world, users);
   world.run_for(5'000'000);
 

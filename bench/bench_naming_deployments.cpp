@@ -15,12 +15,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Result {
   double join_latency_ms = 0;   // mean time from join() to installed view
   std::uint64_t syncs = 0;      // server->server sync messages sent
@@ -36,7 +30,7 @@ Result run_one(harness::NamingMode mode) {
   cfg.num_name_servers = 2;
   cfg.naming_mode = mode;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(kProcs);
+  std::vector<lwg::NullUser> users(kProcs);
 
   Result r;
   r.replicas =

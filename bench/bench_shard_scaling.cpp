@@ -1,7 +1,7 @@
-// Shard-scaling benchmark for the parallel simulation engine: a WAN of
+// Engine-scaling benchmark for the parallel simulation engine: a WAN of
 // N LAN segments x 3 processes, one LWG per segment, steady per-process
-// traffic, 1 sim-s warmup + measured slices. Emits one JSON document
-// (stdout) covering three sections in a single run:
+// traffic, a warmup slice + a measured slice. Emits one JSON document
+// (stdout) covering five sections in a single run:
 //
 //   * "matrix": thread x segment sweep with the load planner on (the
 //     default engine configuration) — wall clock, wall_s_per_sim_s,
@@ -11,10 +11,17 @@
 //     bottom requires the planner's achieved parallelism to be strictly
 //     above identity's — and both digests to be byte-identical — or the
 //     process exits nonzero.
-//   * "big": a 1,000-segment / ~3,000-node world, demonstrating that the
-//     planner bounds the shard count by the worker budget (shards ~=
-//     threads, not ~= segments) while identity placement drags a
-//     1,000-shard plan through every window barrier.
+//   * "islands": 16 segments with the WAN cut into 16 disconnected
+//     islands, 8 threads, identity vs planner. With the planner each
+//     segment's reachability class gets a shard of its own that advances
+//     barrier-free; identity placement keeps every site in global lockstep
+//     windows. The process exits nonzero unless both digests are equal,
+//     the planner run has 16 island shards and the identity run has none.
+//   * "scale" and "big": 100- and 1,000-segment worlds (~300 / ~3,000
+//     nodes) at 16 threads, showing that the planner bounds the shard
+//     count by the worker budget (shards ~= threads, not ~= segments)
+//     while identity placement would drag one shard per segment through
+//     every window barrier.
 //
 // Two speedup figures appear per run, because measured wall-clock speedup
 // is meaningless when the host has fewer cores than worker threads:
@@ -28,14 +35,16 @@
 // (begin_event_window / site_events_in_window) over the measured slice.
 //
 // scripts/bench_shard_scaling.sh wraps this into BENCH_shard_scaling.json.
-// PLWG_BENCH_BIG=0 skips the 1,000-segment section (CI smoke uses a
-// dedicated invocation; see .github/workflows/ci.yml).
+// PLWG_BENCH_BIG=0 skips the "scale" and "big" sections, so no world of
+// 100 segments or more is built (the CI smoke step sets it).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/world.hpp"
@@ -67,6 +76,8 @@ struct BenchCase {
   Duration warmup_us = 1'000'000;
   Duration measure_us = 5'000'000;
   Duration send_period_us = 2'000;
+  /// Cut the WAN after the groups form: every segment its own island.
+  bool cut_wan = false;
 };
 
 constexpr std::uint64_t kHotFactor = 8;
@@ -78,6 +89,7 @@ struct RunResult {
   std::size_t shards = 0;
   std::size_t threads = 0;
   std::uint64_t replans = 0;
+  std::size_t islands = 0;  // shards that are their class's only shard
   double parallelism_bound = 1.0;  // sum(site events) / max(shard load)
   double worker_bound = 1.0;       // sum(site events) / max(worker load)
 };
@@ -134,6 +146,9 @@ RunResult run_one(const BenchCase& bc) {
         return true;
       },
       120'000'000);
+  // Local LWGs keep operating across the cut — the paper's partitionable
+  // operation — and with the planner on each class advances on its own.
+  if (bc.cut_wan) world.cut_wan();
 
   auto slice = [&](Duration us) {
     const Time end = world.engine().now() + us;
@@ -177,12 +192,16 @@ RunResult run_one(const BenchCase& bc) {
   // decisive migration happens during warmup and hysteresis then (rightly)
   // holds the plan stable through the measured window.
   r.replans = engine.replan_count();
+  const sim::ShardPlan& plan = engine.plan();
+  for (const int cls : plan.shard_class) {
+    if (std::count(plan.shard_class.begin(), plan.shard_class.end(), cls) == 1)
+      ++r.islands;
+  }
 
   // Aggregate the measured per-site loads up to shards (for the ideal-
   // machine bound) and to workers under the strided job assignment (for
   // the T-core bound). Uses the final plan: a mid-slice replan shifts the
   // attribution slightly, never the totals.
-  const sim::ShardPlan& plan = engine.plan();
   std::vector<std::uint64_t> shard_load(plan.num_shards(), 0);
   std::uint64_t sum = 0;
   for (std::size_t site = 0; site < engine.num_sites(); ++site) {
@@ -215,14 +234,15 @@ void emit(const char* section, const BenchCase& bc, const RunResult& r,
   g_first_run = false;
   std::printf(
       "    {\"section\": \"%s\", \"segments\": %zu, \"threads\": %zu, "
-      "\"planner\": %s, \"shards\": %zu, \"replans\": %llu, "
-      "\"sim_s\": %.1f, \"wall_s\": %.3f, \"wall_s_per_sim_s\": %.4f, "
+      "\"planner\": %s, \"shards\": %zu, \"islands\": %zu, "
+      "\"replans\": %llu, \"sim_s\": %.1f, \"wall_s\": %.3f, "
+      "\"wall_s_per_sim_s\": %.4f, "
       "\"deliveries\": %llu, \"deliveries_per_wall_s\": %.0f, "
       "\"speedup_vs_1_thread\": %.2f, \"parallelism_bound\": %.2f, "
       "\"worker_bound\": %.2f, \"trace_digest\": \"%016llx\"}",
       section, bc.segments, bc.threads, bc.planner ? "true" : "false",
-      r.shards, static_cast<unsigned long long>(r.replans), sim_s, r.wall_s,
-      r.wall_s / sim_s, static_cast<unsigned long long>(r.delivered),
+      r.shards, r.islands, static_cast<unsigned long long>(r.replans), sim_s,
+      r.wall_s, r.wall_s / sim_s, static_cast<unsigned long long>(r.delivered),
       static_cast<double>(r.delivered) / r.wall_s,
       base_wall > 0 ? base_wall / r.wall_s : 1.0, r.parallelism_bound,
       r.worker_bound, static_cast<unsigned long long>(r.digest));
@@ -247,9 +267,9 @@ int main() {
 
   std::printf("{\n");
   std::printf("  \"workload\": \"N segments x %zu processes, one LWG per "
-              "segment, 64B sends, 1 sim-s warmup + measured slice; "
-              "imbalanced section drives one hot segment at %llux the cold "
-              "rate\",\n",
+              "segment, 64B sends, warmup + measured slice; imbalanced "
+              "section drives one hot segment at %llux the cold rate; "
+              "islands section cuts the WAN into one island per segment\",\n",
               kPerSegment, static_cast<unsigned long long>(kHotFactor));
   std::printf("  \"host_cpus\": %u,\n", host_cpus);
   std::printf("  \"note\": \"worker_bound = sum(site events) / max(worker "
@@ -279,7 +299,7 @@ int main() {
   // Section 2: the imbalanced A/B — 1 hot + 15 cold segments at 8 threads.
   // Identity placement pairs the hot site with a cold one on some worker;
   // the planner isolates it after the first measured window.
-  bool ab_ok = true;
+  bool ok = true;
   {
     BenchCase identity;
     identity.segments = 16;
@@ -294,9 +314,9 @@ int main() {
     const RunResult tuned = run_one(planned);
     emit("imbalanced", planned, tuned, base.wall_s);
 
-    ab_ok = tuned.worker_bound > base.worker_bound &&
-            tuned.digest == base.digest && tuned.replans > 0;
-    if (!ab_ok) {
+    ok = tuned.worker_bound > base.worker_bound &&
+         tuned.digest == base.digest && tuned.replans > 0;
+    if (!ok) {
       std::fprintf(stderr,
                    "SELF-CHECK FAILED: planner worker_bound %.3f vs identity "
                    "%.3f, replans %llu, digests %016llx/%016llx\n",
@@ -307,27 +327,63 @@ int main() {
     }
   }
 
-  // Section 3: the 1,000-segment world. The point on a small host is the
-  // plan shape (16 shards for 16 workers, not 1,000) and that setup +
-  // steady state complete at all; shorter slice, slower senders.
-  if (run_big) {
-    BenchCase big;
-    big.segments = 1'000;
-    big.threads = 16;
-    big.warmup_us = 200'000;
-    big.measure_us = 1'000'000;
-    big.send_period_us = 10'000;
-    const RunResult r = run_one(big);
-    emit("big", big, r, 0);
-    if (r.shards > big.threads) {
+  // Section 3: the island episode — the WAN cut into 16 islands at 8
+  // threads. 100 ms driver ticks against a ~2 ms lookahead: identity
+  // placement crosses ~50 global barriers per tick, islands dispatch once.
+  {
+    BenchCase identity;
+    identity.segments = 16;
+    identity.threads = 8;
+    identity.planner = false;
+    identity.cut_wan = true;
+    identity.warmup_us = 500'000;
+    identity.send_period_us = 100'000;
+    const RunResult base = run_one(identity);
+    emit("islands", identity, base, 0);
+
+    BenchCase planned = identity;
+    planned.planner = true;
+    const RunResult tuned = run_one(planned);
+    emit("islands", planned, tuned, base.wall_s);
+
+    if (tuned.digest != base.digest || tuned.islands != planned.segments ||
+        base.islands != 0) {
       std::fprintf(stderr,
-                   "SELF-CHECK FAILED: 1000-segment world used %zu shards "
-                   "for %zu workers\n",
-                   r.shards, big.threads);
-      ab_ok = false;
+                   "SELF-CHECK FAILED: island shards planner %zu / identity "
+                   "%zu (want %zu / 0), digests %016llx/%016llx\n",
+                   tuned.islands, base.islands, planned.segments,
+                   static_cast<unsigned long long>(tuned.digest),
+                   static_cast<unsigned long long>(base.digest));
+      ok = false;
+    }
+  }
+
+  // Sections 4-5: 100 and 1,000 segments at 16 threads. The point on a
+  // small host is the plan shape (16 shards for 16 workers, not one per
+  // segment) and that setup + steady state complete at all; shorter slice,
+  // slower senders.
+  if (run_big) {
+    for (const auto& [section, segments] :
+         {std::pair{"scale", std::size_t{100}},
+          std::pair{"big", std::size_t{1'000}}}) {
+      BenchCase bc;
+      bc.segments = segments;
+      bc.threads = 16;
+      bc.warmup_us = 200'000;
+      bc.measure_us = 1'000'000;
+      bc.send_period_us = 10'000;
+      const RunResult r = run_one(bc);
+      emit(section, bc, r, 0);
+      if (r.shards > bc.threads) {
+        std::fprintf(stderr,
+                     "SELF-CHECK FAILED: %zu-segment world used %zu shards "
+                     "for %zu workers\n",
+                     segments, r.shards, bc.threads);
+        ok = false;
+      }
     }
   }
 
   std::printf("\n  ]\n}\n");
-  return ab_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

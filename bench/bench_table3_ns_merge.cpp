@@ -13,21 +13,8 @@
 #include "harness/world.hpp"
 #include "lwg/lwg_user.hpp"
 
-namespace plwg::bench {
-namespace {
-
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
-}  // namespace
-}  // namespace plwg::bench
-
 int main() {
   using namespace plwg;
-  using namespace plwg::bench;
 
   harness::WorldConfig cfg;
   cfg.oracle = false;  // measuring the protocol, not checking it
@@ -35,7 +22,7 @@ int main() {
   cfg.num_name_servers = 2;
   cfg.lwg.reconcile_on_conflict = false;  // freeze the Table 3 state
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(4);
+  std::vector<lwg::NullUser> users(4);
 
   std::printf("# Table 3 / Fig. 3: inconsistent mappings in concurrent "
               "partitions and the merged NS database\n\n");

@@ -13,28 +13,15 @@
 #include "harness/world.hpp"
 #include "lwg/lwg_user.hpp"
 
-namespace plwg::bench {
-namespace {
-
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
-}  // namespace
-}  // namespace plwg::bench
-
 int main() {
   using namespace plwg;
-  using namespace plwg::bench;
 
   harness::WorldConfig cfg;
   cfg.oracle = false;  // measuring the protocol, not checking it
   cfg.num_processes = 4;
   cfg.num_name_servers = 2;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(4);
+  std::vector<lwg::NullUser> users(4);
 
   std::printf("# Table 4 / Fig. 4: naming-service evolution through the "
               "four reconciliation stages\n\n");

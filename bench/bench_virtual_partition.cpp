@@ -20,12 +20,6 @@
 namespace plwg::bench {
 namespace {
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct Outcome {
   bool fragmented = false;      // the group split during the disturbance
   std::size_t min_view = 8;     // smallest LWG view seen at any member
@@ -41,7 +35,7 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
   // the setting that makes load-induced "virtual" partitions possible.
   cfg.vsync.suspect_timeout_us = 600'000;
   harness::SimWorld world(cfg);
-  std::vector<NullUser> users(8);
+  std::vector<lwg::NullUser> users(8);
   const LwgId id{1};
   world.lwg(0).join(id, users[0]);
   world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },

@@ -1,19 +1,10 @@
 // Geographic scale: the paper motivates partitionable operation with
-// "networks of large geographical scale". Three experiments:
-//
-//   1. Latency sweep — a group spanning two LANs joined by a WAN backbone
-//      is cut and healed across campus-to-continental WAN delays;
-//      reconciliation stays dominated by the (constant) probe/sync periods.
-//   2. Segment-count sweep — 100 and 1,000 segments (3 processes each, up
-//      to ~3,000 nodes), one local LWG per segment: simulated-time cost per
-//      segment stays flat and the planner bounds the shard count by the
-//      worker budget.
-//   3. Island episode — a partition-heavy steady state (the WAN cut into
-//      disconnected islands): with reachability-class scheduling the
-//      islands advance barrier-free under their own time windows, versus
-//      identity placement dragging every site through global lockstep
-//      barriers. Reported as wall-clock per sim-second, identical digests.
-#include <chrono>
+// "networks of large geographical scale". A group spanning two LANs joined
+// by a WAN backbone is cut and healed across campus-to-continental WAN
+// delays; data latency tracks the WAN delay while reconciliation stays
+// dominated by the (constant) probe/sync periods. How the simulation
+// engine itself scales with the number of segments is bench_shard_scaling's
+// subject.
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -135,198 +126,6 @@ Result run_one(Duration wan_delay_us) {
   return r;
 }
 
-class CountUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {
-    ++delivered;
-  }
-  std::uint64_t delivered = 0;
-};
-
-constexpr std::size_t kPerSegment = 3;
-
-/// Build an N-segment WAN world with one local LWG per segment, form all
-/// groups (leaders in one wave, then members), and return it ready to run.
-struct SegmentWorld {
-  harness::WorldConfig cfg;
-  std::unique_ptr<harness::SimWorld> world;
-  std::vector<std::unique_ptr<CountUser>> users;
-  bool formed = false;
-};
-
-SegmentWorld make_segment_world(std::size_t segments, std::size_t threads,
-                                bool planner) {
-  SegmentWorld sw;
-  sw.cfg.oracle = false;
-  sw.cfg.num_processes = segments * kPerSegment;
-  sw.cfg.num_name_servers = 2;
-  sw.cfg.sim_threads = threads;
-  sw.cfg.planner.enabled = planner;
-  for (std::size_t s = 0; s < segments; ++s) {
-    std::vector<std::size_t> seg;
-    for (std::size_t i = 0; i < kPerSegment; ++i)
-      seg.push_back(s * kPerSegment + i);
-    sw.cfg.segments.push_back(seg);
-  }
-  sw.world = std::make_unique<harness::SimWorld>(sw.cfg);
-  for (std::size_t i = 0; i < sw.cfg.num_processes; ++i)
-    sw.users.push_back(std::make_unique<CountUser>());
-  harness::SimWorld& world = *sw.world;
-  for (std::size_t s = 0; s < segments; ++s)
-    world.lwg(s * kPerSegment).join(LwgId{s + 1}, *sw.users[s * kPerSegment]);
-  world.run_until(
-      [&] {
-        for (std::size_t s = 0; s < segments; ++s) {
-          if (world.lwg(s * kPerSegment).view_of(LwgId{s + 1}) == nullptr)
-            return false;
-        }
-        return true;
-      },
-      60'000'000);
-  for (std::size_t s = 0; s < segments; ++s) {
-    for (std::size_t i = 1; i < kPerSegment; ++i)
-      world.lwg(s * kPerSegment + i).join(LwgId{s + 1},
-                                          *sw.users[s * kPerSegment + i]);
-  }
-  sw.formed = world.run_until(
-      [&] {
-        for (std::size_t s = 0; s < segments; ++s) {
-          for (std::size_t i = 0; i < kPerSegment; ++i) {
-            const lwg::LwgView* v =
-                world.lwg(s * kPerSegment + i).view_of(LwgId{s + 1});
-            if (v == nullptr || v->members.size() != kPerSegment) return false;
-          }
-        }
-        return true;
-      },
-      120'000'000);
-  return sw;
-}
-
-/// Drive every process at one send per `period_us` for `sim_us`, returning
-/// wall seconds spent inside the engine.
-double drive(SegmentWorld& sw, Duration sim_us, Duration period_us) {
-  harness::SimWorld& world = *sw.world;
-  const Time end = world.engine().now() + sim_us;
-  const auto t0 = std::chrono::steady_clock::now();
-  while (world.engine().now() < end) {
-    for (std::size_t p = 0; p < sw.cfg.num_processes; ++p) {
-      Encoder enc;
-      enc.put_i64(world.engine().now());
-      world.lwg(p).send(LwgId{p / kPerSegment + 1}, enc.take());
-    }
-    world.run_for(period_us);
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Experiment 2: segment-count sweep at fixed per-segment load.
-void run_scale_sweep() {
-  std::printf("\n# Segment-count sweep: N segments x %zu processes, one "
-              "local LWG each, 1 send/process/10ms, 1 sim-s measured, "
-              "16 worker threads, planner on\n",
-              kPerSegment);
-  metrics::Table table({"segments", "nodes", "shards", "replans",
-                        "wall-s-per-sim-s", "deliveries", "parallelism-bound"});
-  for (std::size_t segments : {std::size_t{100}, std::size_t{1'000}}) {
-    SegmentWorld sw = make_segment_world(segments, 16, true);
-    if (!sw.formed) {
-      std::printf("segments=%zu: formation timed out\n", segments);
-      continue;
-    }
-    drive(sw, 200'000, 10'000);  // warmup
-    sim::Engine& engine = sw.world->engine();
-    engine.begin_event_window();
-    const double wall = drive(sw, 1'000'000, 10'000);
-    std::uint64_t delivered = 0;
-    for (const auto& u : sw.users) delivered += u->delivered;
-    std::uint64_t sum = 0;
-    std::vector<std::uint64_t> shard_load(engine.num_shards(), 0);
-    for (std::size_t i = 0; i < engine.num_sites(); ++i) {
-      shard_load[engine.plan().site_shard[i]] += engine.site_events_in_window(i);
-      sum += engine.site_events_in_window(i);
-    }
-    std::uint64_t max_shard = 1;
-    for (const std::uint64_t l : shard_load)
-      if (l > max_shard) max_shard = l;
-    table.add_row({std::to_string(segments),
-                   std::to_string(sw.cfg.num_processes),
-                   std::to_string(engine.num_shards()),
-                   std::to_string(engine.replan_count()),
-                   metrics::Table::fmt(wall, 3),
-                   std::to_string(delivered),
-                   metrics::Table::fmt(static_cast<double>(sum) /
-                                           static_cast<double>(max_shard),
-                                       2)});
-  }
-  table.print(std::cout);
-  std::printf("shape check: shards stay == worker budget (16), not == "
-              "segments; wall-s-per-sim-s grows ~linearly with nodes, not "
-              "quadratically with segments.\n");
-}
-
-/// Experiment 3: the island episode. Cut the WAN under a partition-heavy
-/// steady state and compare barrier-free island scheduling (planner +
-/// reachability classes) against global lockstep (identity placement).
-void run_island_episode() {
-  std::printf("\n# Island episode: 16 segments, WAN cut into 16 "
-              "disconnected islands, 5 sim-s of local traffic at 8 worker "
-              "threads\n");
-  metrics::Table table({"placement", "shards", "islands", "wall-s-per-sim-s",
-                        "digest"});
-  double wall_identity = 0;
-  double wall_planner = 0;
-  std::uint64_t digest_identity = 0;
-  std::uint64_t digest_planner = 0;
-  for (const bool planner : {false, true}) {
-    SegmentWorld sw = make_segment_world(16, 8, planner);
-    if (!sw.formed) {
-      std::printf("formation timed out\n");
-      return;
-    }
-    // Cut the backbone: every segment becomes its own reachability class.
-    // Local LWGs keep operating — the paper's partitionable-operation
-    // story — and with the planner on, each class's sole shard advances to
-    // the target barrier-free.
-    sw.world->cut_wan();
-    drive(sw, 500'000, 10'000);  // let classes propagate, reach steady state
-    // 100ms driver slices against a ~2ms lookahead: identity placement
-    // crosses ~50 global barriers per slice, islands dispatch once.
-    const double wall = drive(sw, 5'000'000, 100'000);
-    const std::uint64_t digest = sw.world->trace_digest();
-    sim::Engine& engine = sw.world->engine();
-    std::size_t island_shards = 0;
-    {
-      // A shard is an island when it is its class's only shard.
-      std::vector<int> seen;
-      for (std::size_t s = 0; s < engine.num_shards(); ++s) {
-        const int cls = engine.plan().shard_class[s];
-        std::size_t same = 0;
-        for (const int c : engine.plan().shard_class)
-          if (c == cls) ++same;
-        if (same == 1) ++island_shards;
-      }
-    }
-    (planner ? wall_planner : wall_identity) = wall;
-    (planner ? digest_planner : digest_identity) = digest;
-    char digest_hex[32];
-    std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
-                  static_cast<unsigned long long>(digest));
-    table.add_row({planner ? "planner" : "identity",
-                   std::to_string(engine.num_shards()),
-                   std::to_string(island_shards),
-                   metrics::Table::fmt(wall / 5.0, 4), digest_hex});
-  }
-  table.print(std::cout);
-  std::printf("shape check: digests match (%s); island scheduling removes "
-              "the global window barriers, identity pays them every "
-              "lookahead interval (%.2fx wall-clock ratio).\n",
-              digest_identity == digest_planner ? "yes" : "NO — BUG",
-              wall_planner > 0 ? wall_identity / wall_planner : 0.0);
-}
-
 }  // namespace
 }  // namespace plwg::bench
 
@@ -350,7 +149,5 @@ int main() {
   std::printf("\nshape check: data latency scales with WAN delay; "
               "reconciliation stays dominated by the constant probe/sync "
               "periods.\n");
-  run_scale_sweep();
-  run_island_episode();
   return 0;
 }

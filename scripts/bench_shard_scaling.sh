@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Shard-scaling benchmark run.
+# Engine-scaling benchmark run.
 #
-# Builds the Release tree, runs bench_shard_scaling once — the binary
-# produces the full thread x segment matrix, the imbalanced planner-vs-
-# identity A/B, and the 1,000-segment bounded-shard run in a single
-# invocation, with host_cpus recorded in the document — and refreshes the
-# "current" block inside BENCH_shard_scaling.json. The checked-in
+# Builds the Release tree, runs bench_shard_scaling once — the one binary
+# that measures how the engine scales on N-segment worlds: the thread x
+# segment matrix, the imbalanced planner-vs-identity A/B, the cut-WAN
+# island A/B, and the 100- and 1,000-segment bounded-shard runs, in a
+# single invocation with host_cpus recorded in the document — and
+# refreshes the "current" block inside BENCH_shard_scaling.json. The
+# script fails when the binary's self-checks do. The checked-in
 # "pre_refactor_baseline" block — the single-threaded engine before the
 # sharded refactor, measured on the same workload at 8 segments — is
 # preserved for comparison.
@@ -18,7 +20,7 @@
 # unless --force is given.
 #
 # Usage: scripts/bench_shard_scaling.sh [--force]
-#   PLWG_BENCH_BIG=0   skip the 1,000-segment section
+#   PLWG_BENCH_BIG=0   skip the 100- and 1,000-segment sections
 #   BUILD_DIR=...      build tree (default: build)
 set -euo pipefail
 
@@ -72,7 +74,8 @@ print(f"wrote {out_path} (host_cpus={current.get('host_cpus')})")
 for run in current.get("runs", []):
     print(f"  [{run['section']}] segments={run['segments']} "
           f"threads={run['threads']} planner={run['planner']} "
-          f"shards={run['shards']} replans={run['replans']}: "
+          f"shards={run['shards']} islands={run['islands']} "
+          f"replans={run['replans']}: "
           f"{run['wall_s']:.3f} wall-s, "
           f"{run['speedup_vs_1_thread']:.2f}x measured, "
           f"worker bound {run['worker_bound']:.2f}x")

@@ -12,15 +12,6 @@
 #include "lwg/lwg_user.hpp"
 
 namespace plwg::harness {
-namespace {
-
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
-}  // namespace
 
 ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
                             std::size_t sim_threads) {
@@ -39,7 +30,7 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   const std::size_t n = world.num_processes();
 
   // Form one LWG over every process before any fault fires.
-  std::vector<NullUser> users(n);
+  std::vector<lwg::NullUser> users(n);
   const LwgId id{1};
   world.lwg(0).join(id, users[0]);
   world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },

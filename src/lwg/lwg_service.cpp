@@ -73,16 +73,11 @@ void LwgService::shutdown() {
 void LwgService::send(LwgId lwg, std::vector<std::uint8_t> data) {
   LocalGroup* lg = find_group(lwg);
   PLWG_ASSERT_MSG(lg != nullptr, "send on an LWG we did not join");
-  if (!lg->has_view || lg->phase != Phase::kActive || lg->switching) {
-    lg->queued_sends.push_back(std::move(data));
+  if (lg->has_view && lg->phase == Phase::kActive && !lg->switching &&
+      send_data(*lg, data)) {
     return;
   }
-  stats_.data_sent++;
-  DataMsg msg{lwg, lg->view.id, std::move(data)};
-  Encoder& body = scratch_body();
-  body.reserve(msg.encoded_size_hint());
-  msg.encode(body);
-  send_lwg_msg(lg->hwg, LwgMsgType::kData, body);
+  lg->queued_sends.push_back(std::move(data));
 }
 
 const LwgView* LwgService::view_of(LwgId lwg) const {
@@ -108,6 +103,19 @@ std::vector<LwgId> LwgService::local_groups() const {
 
 // --- internals ---------------------------------------------------------------
 
+namespace {
+
+/// An LWG protocol packet as the HWG carries it: type byte, then body.
+std::vector<std::uint8_t> lwg_packet(LwgMsgType type, const Encoder& body) {
+  Encoder packet;
+  packet.reserve(1 + body.size());
+  packet.put_u8(static_cast<std::uint8_t>(type));
+  packet.put_raw(body.bytes());
+  return packet.take();
+}
+
+}  // namespace
+
 void LwgService::set_phase(LocalGroup& lg, Phase phase) {
   if (lg.phase == phase) return;
   lg.phase = phase;
@@ -127,11 +135,34 @@ LwgService::HwgState& LwgService::hwg_state(HwgId gid) {
 
 void LwgService::send_lwg_msg(HwgId hwg, LwgMsgType type,
                               const Encoder& body) {
-  Encoder packet;
-  packet.reserve(1 + body.size());
-  packet.put_u8(static_cast<std::uint8_t>(type));
-  packet.put_raw(body.bytes());
-  vsync_.send(hwg, packet.take());
+  vsync_.send(hwg, lwg_packet(type, body));
+}
+
+bool LwgService::send_data(LocalGroup& lg, std::vector<std::uint8_t>& data) {
+  vsync::GroupEndpoint* ep = vsync_.endpoint(lg.hwg);
+  if (ep == nullptr) {
+    // Excluded from the HWG since the last tick: re-resolve now; the caller
+    // keeps the data queued for the next view.
+    reresolve_lost_hwg(lg);
+    return false;
+  }
+  stats_.data_sent++;
+  DataMsg msg{lg.lwg, lg.view.id, std::move(data)};
+  Encoder& body = scratch_body();
+  body.reserve(msg.encoded_size_hint());
+  msg.encode(body);
+  ep->send(lwg_packet(LwgMsgType::kData, body));
+  return true;
+}
+
+void LwgService::reresolve_lost_hwg(LocalGroup& lg) {
+  PLWG_INFO("lwg", "p", self(), " lwg ", lg.lwg,
+            " lost its hwg endpoint, re-resolving");
+  note_lwg_reset(lg.lwg);
+  lg.stale_views.push_back(lg.view.id);
+  lg.has_view = false;
+  set_phase(lg, Phase::kResolving);
+  resolve_mapping(lg.lwg);
 }
 
 ViewId LwgService::mint_view_id() { return ViewId{self(), ++view_counter()}; }
@@ -223,13 +254,8 @@ void LwgService::install_lwg_view(LocalGroup& lg, const LwgView& view,
 void LwgService::drain_queued_sends(LocalGroup& lg) {
   while (!lg.queued_sends.empty() && lg.phase == Phase::kActive &&
          lg.has_view && !lg.switching) {
-    std::vector<std::uint8_t> data = std::move(lg.queued_sends.front());
+    if (!send_data(lg, lg.queued_sends.front())) return;
     lg.queued_sends.pop_front();
-    stats_.data_sent++;
-    DataMsg msg{lg.lwg, lg.view.id, std::move(data)};
-    Encoder& body = scratch_body();
-    msg.encode(body);
-    send_lwg_msg(lg.hwg, LwgMsgType::kData, body);
   }
 }
 
@@ -383,14 +409,7 @@ void LwgService::tick() {
           maybe_install_next_view(*lg);
         }
         if (lg->has_view && !vsync_.is_member(lg->hwg)) {
-          // Our HWG endpoint died under us (excluded while wedged): rejoin.
-          PLWG_INFO("lwg", "p", self(), " lwg ", id,
-                    " lost its hwg endpoint, re-resolving");
-          note_lwg_reset(id);
-          lg->stale_views.push_back(lg->view.id);
-          lg->has_view = false;
-          set_phase(*lg, Phase::kResolving);
-          resolve_mapping(id);
+          reresolve_lost_hwg(*lg);
         }
         break;
       case Phase::kLeaving:

@@ -190,6 +190,13 @@ class LwgService : public GroupService,
   [[nodiscard]] LocalGroup* find_group(LwgId lwg);
   [[nodiscard]] HwgState& hwg_state(HwgId gid);
   void send_lwg_msg(HwgId hwg, LwgMsgType type, const Encoder& body);
+  /// Multicast `data` as DATA in lg's current view (moving it out). False,
+  /// with `data` untouched, when lg's HWG endpoint is gone: lg then starts
+  /// re-resolving (see reresolve_lost_hwg).
+  [[nodiscard]] bool send_data(LocalGroup& lg, std::vector<std::uint8_t>& data);
+  /// lg's HWG endpoint is gone (excluded while wedged): end the LWG epoch
+  /// and re-resolve the mapping from scratch.
+  void reresolve_lost_hwg(LocalGroup& lg);
   /// Reused body buffer for all LWG protocol sends (see
   /// GroupEndpoint::scratch_body for the safety argument).
   Encoder& scratch_body() {

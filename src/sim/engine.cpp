@@ -96,14 +96,6 @@ Time Engine::log_now() const {
   return now();
 }
 
-std::uint64_t Engine::shard_events_run(std::size_t s) const {
-  std::uint64_t total = 0;
-  for (std::size_t i : plan_.shard_sites[s]) {
-    total += sites_[i]->total_events_run();
-  }
-  return total;
-}
-
 void Engine::begin_event_window() {
   PLWG_ASSERT(!running());
   for (std::size_t i = 0; i < sites_.size(); ++i) {
@@ -113,12 +105,6 @@ void Engine::begin_event_window() {
 
 std::uint64_t Engine::site_events_in_window(std::size_t i) const {
   return sites_[i]->total_events_run() - window_base_[i];
-}
-
-std::uint64_t Engine::shard_events_in_window(std::size_t s) const {
-  std::uint64_t total = 0;
-  for (std::size_t i : plan_.shard_sites[s]) total += site_events_in_window(i);
-  return total;
 }
 
 void Engine::set_site_weights(const std::vector<std::uint64_t>& weights) {

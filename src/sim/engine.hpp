@@ -142,25 +142,18 @@ class Engine {
   [[nodiscard]] std::uint64_t site_events_run(std::size_t i) const {
     return sites_[i]->total_events_run();
   }
-  /// Events executed by plan shard `s` (sum of its sites' counters), for
-  /// load-balance accounting: speedup is bounded by sum/max of shard loads.
-  [[nodiscard]] std::uint64_t shard_events_run(std::size_t s) const;
 
-  /// Start a measurement window: snapshot every site's event counter so the
-  /// *_in_window accessors report activity since this call, not lifetime
+  /// Start a measurement window: snapshot every site's event counter so
+  /// site_events_in_window reports activity since this call, not lifetime
   /// totals. Driver thread, idle only.
   void begin_event_window();
   [[nodiscard]] std::uint64_t site_events_in_window(std::size_t i) const;
-  [[nodiscard]] std::uint64_t shard_events_in_window(std::size_t s) const;
 
   // --- planner surface ----------------------------------------------------
   /// Current site→shard assignment. Stable while the engine runs; may
   /// change across run_until calls when the planner is enabled.
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
   [[nodiscard]] std::size_t num_shards() const { return plan_.num_shards(); }
-  [[nodiscard]] const PlannerConfig& planner_config() const {
-    return planner_;
-  }
   /// Accepted plan changes since construction (load replans + class-change
   /// repacks; the initial packing is not counted).
   [[nodiscard]] std::size_t replan_count() const { return replan_count_; }

@@ -28,12 +28,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return std::strtoull(value, nullptr, 10);
 }
 
-class NullUser : public lwg::LwgUser {
- public:
-  void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-  void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-};
-
 struct EpisodeResult {
   std::uint64_t digest = 0;
   bool converged = false;
@@ -68,7 +62,7 @@ EpisodeResult run_episode(std::uint64_t seed, std::size_t threads,
   cfg.net.digest_payloads = true;
   SimWorld world(cfg);
 
-  std::vector<NullUser> users(cfg.num_processes);
+  std::vector<lwg::NullUser> users(cfg.num_processes);
   const LwgId id{1};
   for (std::size_t i = 0; i < cfg.num_processes; ++i) {
     world.lwg(i).join(id, users[i]);

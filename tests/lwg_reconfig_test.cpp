@@ -46,6 +46,26 @@ TEST_F(LwgReconfigTest, QueuedSendsSurviveASwitch) {
   }
 }
 
+// An HWG endpoint excluded while wedged is swept at once, but the LWG
+// service only notices at its next tick. A send in that gap used to abort
+// ("send on a group we are not in"); it must be held for the next view.
+TEST_F(LwgReconfigTest, SendAfterHwgEndpointSweptIsHeldForNextView) {
+  build(dyn_config(1));
+  const LwgId id{1};
+  form_lwg(id, {0});
+  const HwgId hwg = *lwg(0).hwg_of(id);
+  // A sole member's leave dissolves the HWG and sweeps the endpoint now,
+  // behind the LWG service's back — the state an exclusion leaves.
+  world().vsync(0).leave_group(hwg);
+  ASSERT_FALSE(world().vsync(0).is_member(hwg));
+  lwg(0).send(id, payload(7));
+  EXPECT_EQ(lwg(0).view_of(id), nullptr);  // re-resolving, not waiting a tick
+  ASSERT_TRUE(run_until([&] { return user(0).total_delivered(id) == 1; },
+                        20'000'000));
+  EXPECT_EQ(user(0).log(id).epochs.back().delivered.front().second,
+            payload(7));
+}
+
 TEST_F(LwgReconfigTest, LeaveDuringSwitchCompletes) {
   build(dyn_config(8));
   form_lwg(LwgId{1}, {0, 1, 2, 3, 4, 5, 6, 7});

@@ -235,12 +235,6 @@ TEST_F(OracleSelfTest, ReportJsonCarriesViolationAndTrace) {
 /// change closes the epoch, the same-view-pair comparison must flag
 /// invariant #1 — and nothing else.
 TEST(OracleEndToEndTest, DroppedDeliveryReportFlagsInvariant1) {
-  class NullUser : public lwg::LwgUser {
-   public:
-    void on_lwg_view(LwgId, const lwg::LwgView&) override {}
-    void on_lwg_data(LwgId, ProcessId, std::span<const std::uint8_t>) override {}
-  };
-
   harness::WorldConfig cfg;
   cfg.num_processes = 3;
   cfg.num_name_servers = 1;
@@ -249,7 +243,7 @@ TEST(OracleEndToEndTest, DroppedDeliveryReportFlagsInvariant1) {
   ASSERT_TRUE(world.oracle_enabled());
 
   const LwgId id{1};
-  NullUser users[3];
+  lwg::NullUser users[3];
   MemberSet all;
   for (std::size_t i = 0; i < 3; ++i) {
     world.lwg(i).join(id, users[i]);
