@@ -33,19 +33,7 @@ Load run_one(std::size_t m) {
   std::vector<LwgId> ids;
   for (std::size_t g = 0; g < m; ++g) ids.push_back(LwgId{100 + g});
   for (LwgId id : ids) {
-    world.lwg(0).join(id, users[0]);
-    world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                    20'000'000);
-    for (std::size_t i = 1; i < 8; ++i) world.lwg(i).join(id, users[i]);
-    world.run_until(
-        [&] {
-          for (std::size_t i = 0; i < 8; ++i) {
-            const lwg::LwgView* v = world.lwg(i).view_of(id);
-            if (v == nullptr || v->members.size() != 8) return false;
-          }
-          return true;
-        },
-        40'000'000);
+    world.form_lwg(id, users);
   }
 
   const Time start = world.engine().now();

@@ -45,25 +45,13 @@ Availability run_one(std::uint64_t seed, Duration mean_partition_us) {
   harness::SimWorld world(cfg);
   std::vector<lwg::NullUser> users(kProcs);
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < kProcs; ++i) world.lwg(i).join(id, users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < kProcs; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != kProcs) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  world.form_lwg(id, users);
 
-  harness::ChaosConfig chaos_cfg;
-  chaos_cfg.seed = seed;
-  chaos_cfg.mean_interval_us = 6'000'000;
-  chaos_cfg.mean_partition_us = mean_partition_us;
-  harness::ChaosMonkey chaos(world, chaos_cfg);
+  harness::ChaosMonkey chaos(world, seed);
+  chaos.load({.processes = kProcs,
+              .events = {{.kind = harness::ScenarioEvent::Kind::kRandomChurn,
+                          .mean_interval_us = 6'000'000,
+                          .mean_partition_us = mean_partition_us}}});
 
   constexpr Duration kRun = 120'000'000;
   constexpr Duration kSample = 100'000;
@@ -109,28 +97,19 @@ CrashChurnResult run_crash_churn(std::uint64_t seed,
   harness::SimWorld world(cfg);
   std::vector<lwg::NullUser> users(kProcs);
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < kProcs; ++i) world.lwg(i).join(id, users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < kProcs; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != kProcs) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  world.form_lwg(id, users);
 
-  harness::ChaosConfig chaos_cfg;
-  chaos_cfg.seed = seed ^ 0xc4a5;
-  chaos_cfg.mean_interval_us = 5'000'000;
-  chaos_cfg.crash_probability = 1.0;  // crash-only churn
-  chaos_cfg.max_crashes = 2;          // keep a majority up
-  chaos_cfg.restart_probability = 1.0;
-  chaos_cfg.mean_downtime_us = mean_downtime_us;
-  harness::ChaosMonkey chaos(world, chaos_cfg);
+  // Crash-only churn while fewer than two are down (a majority stays
+  // up); once two are, draws fall back to partitions.
+  harness::ChaosMonkey chaos(world, seed ^ 0xc4a5);
+  chaos.load({.processes = kProcs,
+              .events = {{.kind = harness::ScenarioEvent::Kind::kRandomChurn,
+                          .mean_interval_us = 5'000'000,
+                          .mean_partition_us = 4'000'000,
+                          .crash_probability = 1.0,
+                          .max_crashes = 2,
+                          .restart_probability = 1.0,
+                          .mean_downtime_us = mean_downtime_us}}});
 
   constexpr Duration kRun = 120'000'000;
   constexpr Duration kSample = 100'000;

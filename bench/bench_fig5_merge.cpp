@@ -35,19 +35,7 @@ RunResult run_one(std::size_t m) {
 
   // Sequential formation keeps all LWGs on one HWG.
   for (LwgId id : ids) {
-    world.lwg(0).join(id, users[0]);
-    world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                    20'000'000);
-    for (std::size_t i = 1; i < 8; ++i) world.lwg(i).join(id, users[i]);
-    world.run_until(
-        [&] {
-          for (std::size_t i = 0; i < 8; ++i) {
-            const lwg::LwgView* v = world.lwg(i).view_of(id);
-            if (v == nullptr || v->members.size() != 8) return false;
-          }
-          return true;
-        },
-        40'000'000);
+    world.form_lwg(id, users);
   }
   const HwgId hwg = *world.lwg(0).hwg_of(ids[0]);
 

@@ -53,20 +53,7 @@ harness::WorldConfig world_config(vsync::DetectorKind kind,
 /// Form one LWG over every process; returns the backing HWG id.
 HwgId form_group(harness::SimWorld& world, std::vector<lwg::NullUser>& users) {
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < kProcs; ++i) world.lwg(i).join(id, users[i]);
-  const bool formed = world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < kProcs; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != kProcs) return false;
-        }
-        return true;
-      },
-      60'000'000);
-  if (!formed) {
+  if (!world.form_lwg(id, users)) {
     std::fprintf(stderr, "group never formed\n");
     std::exit(1);
   }

@@ -33,6 +33,9 @@
 //                        extract. This is the A/B figure of merit.
 // Per-site loads come from the engine's windowed event counters
 // (begin_event_window / site_events_in_window) over the measured slice.
+// Measured wall speedup is speedup_vs_1_thread on matrix rows and
+// speedup_vs_identity on the imbalanced / islands A/B rows; the scale and
+// big rows have no baseline run and carry neither.
 //
 // scripts/bench_shard_scaling.sh wraps this into BENCH_shard_scaling.json.
 // PLWG_BENCH_BIG=0 skips the "scale" and "big" sections, so no world of
@@ -227,9 +230,16 @@ RunResult run_one(const BenchCase& bc) {
 
 bool g_first_run = true;
 
+/// `baseline` names the run `base_wall` came from ("1_thread" or
+/// "identity"); rows without one carry no measured speedup.
 void emit(const char* section, const BenchCase& bc, const RunResult& r,
-          double base_wall) {
+          const char* baseline = nullptr, double base_wall = 0) {
   const double sim_s = static_cast<double>(bc.measure_us) / 1e6;
+  char speedup[64] = "";
+  if (baseline != nullptr) {
+    std::snprintf(speedup, sizeof speedup, "\"speedup_vs_%s\": %.2f, ",
+                  baseline, base_wall > 0 ? base_wall / r.wall_s : 1.0);
+  }
   if (!g_first_run) std::printf(",\n");
   g_first_run = false;
   std::printf(
@@ -238,13 +248,12 @@ void emit(const char* section, const BenchCase& bc, const RunResult& r,
       "\"replans\": %llu, \"sim_s\": %.1f, \"wall_s\": %.3f, "
       "\"wall_s_per_sim_s\": %.4f, "
       "\"deliveries\": %llu, \"deliveries_per_wall_s\": %.0f, "
-      "\"speedup_vs_1_thread\": %.2f, \"parallelism_bound\": %.2f, "
+      "%s\"parallelism_bound\": %.2f, "
       "\"worker_bound\": %.2f, \"trace_digest\": \"%016llx\"}",
       section, bc.segments, bc.threads, bc.planner ? "true" : "false",
       r.shards, r.islands, static_cast<unsigned long long>(r.replans), sim_s,
       r.wall_s, r.wall_s / sim_s, static_cast<unsigned long long>(r.delivered),
-      static_cast<double>(r.delivered) / r.wall_s,
-      base_wall > 0 ? base_wall / r.wall_s : 1.0, r.parallelism_bound,
+      static_cast<double>(r.delivered) / r.wall_s, speedup, r.parallelism_bound,
       r.worker_bound, static_cast<unsigned long long>(r.digest));
   std::fflush(stdout);
   std::fprintf(stderr,
@@ -292,7 +301,7 @@ int main() {
       bc.threads = threads;
       const RunResult r = run_one(bc);
       if (threads == 1) base_wall = r.wall_s;
-      emit("matrix", bc, r, base_wall);
+      emit("matrix", bc, r, "1_thread", base_wall);
     }
   }
 
@@ -307,12 +316,12 @@ int main() {
     identity.planner = false;
     identity.hot_segment = 0;
     const RunResult base = run_one(identity);
-    emit("imbalanced", identity, base, 0);
+    emit("imbalanced", identity, base, "identity");
 
     BenchCase planned = identity;
     planned.planner = true;
     const RunResult tuned = run_one(planned);
-    emit("imbalanced", planned, tuned, base.wall_s);
+    emit("imbalanced", planned, tuned, "identity", base.wall_s);
 
     ok = tuned.worker_bound > base.worker_bound &&
          tuned.digest == base.digest && tuned.replans > 0;
@@ -339,12 +348,12 @@ int main() {
     identity.warmup_us = 500'000;
     identity.send_period_us = 100'000;
     const RunResult base = run_one(identity);
-    emit("islands", identity, base, 0);
+    emit("islands", identity, base, "identity");
 
     BenchCase planned = identity;
     planned.planner = true;
     const RunResult tuned = run_one(planned);
-    emit("islands", planned, tuned, base.wall_s);
+    emit("islands", planned, tuned, "identity", base.wall_s);
 
     if (tuned.digest != base.digest || tuned.islands != planned.segments ||
         base.islands != 0) {
@@ -373,7 +382,7 @@ int main() {
       bc.measure_us = 1'000'000;
       bc.send_period_us = 10'000;
       const RunResult r = run_one(bc);
-      emit(section, bc, r, 0);
+      emit(section, bc, r);
       if (r.shards > bc.threads) {
         std::fprintf(stderr,
                      "SELF-CHECK FAILED: %zu-segment world used %zu shards "

@@ -37,19 +37,7 @@ Outcome run_one(bool real_partition, Duration disturbance_us) {
   harness::SimWorld world(cfg);
   std::vector<lwg::NullUser> users(8);
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < 8; ++i) world.lwg(i).join(id, users[i]);
-  world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < 8; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != 8) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  world.form_lwg(id, users);
 
   Outcome out;
   auto observe = [&] {

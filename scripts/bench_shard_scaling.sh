@@ -72,11 +72,14 @@ doc["current"] = current
 json.dump(doc, open(out_path, "w"), indent=1)
 print(f"wrote {out_path} (host_cpus={current.get('host_cpus')})")
 for run in current.get("runs", []):
+    measured = "".join(f"{run[key]:.2f}x vs {label}, "
+                       for key, label in (("speedup_vs_1_thread", "1 thread"),
+                                          ("speedup_vs_identity", "identity"))
+                       if key in run)
     print(f"  [{run['section']}] segments={run['segments']} "
           f"threads={run['threads']} planner={run['planner']} "
           f"shards={run['shards']} islands={run['islands']} "
           f"replans={run['replans']}: "
-          f"{run['wall_s']:.3f} wall-s, "
-          f"{run['speedup_vs_1_thread']:.2f}x measured, "
+          f"{run['wall_s']:.3f} wall-s, {measured}"
           f"worker bound {run['worker_bound']:.2f}x")
 EOF

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/network.hpp"
 #include "util/assert.hpp"
 
 namespace plwg::harness {
@@ -31,197 +32,84 @@ std::vector<std::vector<std::size_t>> rotated(
   return out;
 }
 
+/// An exponential draw with mean `mean_us`, at least `floor_us`.
+Duration exponential_us(Rng& rng, Duration mean_us, Duration floor_us) {
+  return std::max<Duration>(
+      static_cast<Duration>(rng.next_exponential(static_cast<double>(mean_us))),
+      floor_us);
+}
+
 }  // namespace
 
-ChaosMonkey::ChaosMonkey(SimWorld& world, ChaosConfig config)
-    : world_(world), config_(config), rng_(config.seed) {
-  // A disabled injector must not draw from the RNG: scenario replays depend
-  // on the world seeing the exact same random stream regardless of chaos.
-  next_event_ = config_.random_faults
-                    ? world_.engine().now() +
-                          static_cast<Duration>(rng_.next_exponential(
-                              static_cast<double>(config_.mean_interval_us)))
-                    : kTimeMax;
-}
-
-void ChaosMonkey::push(Time at, FaultAction action) {
-  // std::multimap keeps equal keys in insertion order, so a rolling
-  // partition's end(k) / start(k+1) pair at the same instant applies in the
-  // order load() emitted it.
-  schedule_.emplace(at, std::move(action));
-}
+ChaosMonkey::ChaosMonkey(SimWorld& world, std::uint64_t seed)
+    : world_(world), rng_(seed) {}
 
 void ChaosMonkey::load(const Scenario& scenario) {
-  const std::size_t n = world_.num_processes();
-  PLWG_ASSERT_MSG(scenario.processes <= n,
+  PLWG_ASSERT_MSG(scenario.processes <= world_.num_processes(),
                   "scenario names more processes than the world has");
   const Time base = world_.engine().now();
   for (const ScenarioEvent& ev : scenario.events) {
-    const Time at = base + ev.at_us;
-    switch (ev.kind) {
-      case ScenarioEvent::Kind::kPartition: {
-        FaultAction start;
-        start.kind = FaultAction::Kind::kPartitionStart;
-        start.interval = next_interval_id_++;
-        start.islands = ev.islands;
-        start.server_islands = ev.server_islands;
-        const std::uint64_t id = start.interval;
-        push(at, std::move(start));
-        if (ev.duration_us > 0) {
-          FaultAction end;
-          end.kind = FaultAction::Kind::kPartitionEnd;
-          end.interval = id;
-          push(at + ev.duration_us, std::move(end));
-        }
-        break;
+    schedule(ev, base + ev.at_us);
+  }
+}
+
+void ChaosMonkey::schedule(const ScenarioEvent& ev, Time at) {
+  using Kind = ScenarioEvent::Kind;
+  switch (ev.kind) {
+    case Kind::kRollingPartition: {
+      // steps+1 partitions with no fully-connected instant in between: at
+      // each shift boundary one interval ends and the rotated next one
+      // starts at the same timestamp, applied back-to-back while idle.
+      ScenarioEvent part{.duration_us = ev.step_us, .islands = ev.islands};
+      for (std::size_t k = 0; k <= ev.steps; ++k) {
+        schedule(part, at + static_cast<Duration>(k) * ev.step_us);
+        part.islands = rotated(part.islands, ev.rotate_by);
       }
-      case ScenarioEvent::Kind::kRollingPartition: {
-        // steps shifts with no fully-connected instant in between: at each
-        // shift boundary the previous interval ends and the rotated one
-        // starts at the same timestamp, applied back-to-back while idle.
-        auto islands = ev.islands;
-        Time t = at;
-        std::uint64_t id = next_interval_id_++;
-        FaultAction first;
-        first.kind = FaultAction::Kind::kPartitionStart;
-        first.interval = id;
-        first.islands = islands;
-        push(t, std::move(first));
-        for (std::size_t k = 0; k < ev.steps; ++k) {
-          t += ev.step_us;
-          FaultAction end;
-          end.kind = FaultAction::Kind::kPartitionEnd;
-          end.interval = id;
-          push(t, std::move(end));
-          islands = rotated(islands, ev.rotate_by);
-          id = next_interval_id_++;
-          FaultAction start;
-          start.kind = FaultAction::Kind::kPartitionStart;
-          start.interval = id;
-          start.islands = islands;
-          push(t, std::move(start));
-        }
-        FaultAction last;
-        last.kind = FaultAction::Kind::kPartitionEnd;
-        last.interval = id;
-        push(t + ev.step_us, std::move(last));
-        break;
-      }
-      case ScenarioEvent::Kind::kLinkDown:
-      case ScenarioEvent::Kind::kLinkLossy: {
-        sim::LinkFault fault;
-        if (ev.kind == ScenarioEvent::Kind::kLinkDown) {
-          fault.blocked = true;
-        } else {
-          fault.drop_probability = ev.drop_probability;
-          fault.jitter_us = ev.jitter_us;
-        }
-        const auto emit = [&](std::size_t from, std::size_t to) {
-          FaultAction set;
-          set.kind = FaultAction::Kind::kLinkFaultSet;
-          set.from = from;
-          set.to = to;
-          set.fault = fault;
-          push(at, std::move(set));
-          if (ev.duration_us > 0) {
-            FaultAction clear;
-            clear.kind = FaultAction::Kind::kLinkFaultClear;
-            clear.from = from;
-            clear.to = to;
-            push(at + ev.duration_us, std::move(clear));
-          }
-        };
-        emit(ev.from, ev.to);
-        if (ev.symmetric) emit(ev.to, ev.from);
-        break;
-      }
-      case ScenarioEvent::Kind::kFlap: {
-        sim::LinkFault fault;
-        fault.blocked = true;
-        for (std::size_t c = 0; c < ev.count; ++c) {
-          const Time t0 = at + static_cast<Duration>(c) * ev.period_us;
-          const auto emit = [&](std::size_t from, std::size_t to) {
-            FaultAction set;
-            set.kind = FaultAction::Kind::kLinkFaultSet;
-            set.from = from;
-            set.to = to;
-            set.fault = fault;
-            push(t0, std::move(set));
-            FaultAction clear;
-            clear.kind = FaultAction::Kind::kLinkFaultClear;
-            clear.from = from;
-            clear.to = to;
-            push(t0 + ev.down_us, std::move(clear));
-          };
-          emit(ev.from, ev.to);
-          if (ev.symmetric) emit(ev.to, ev.from);
-        }
-        break;
-      }
-      case ScenarioEvent::Kind::kCrash: {
-        FaultAction crash;
-        crash.kind = FaultAction::Kind::kCrash;
-        crash.victim = ev.node;
-        crash.down_us = ev.down_us;
-        push(at, std::move(crash));
-        break;
-      }
-      case ScenarioEvent::Kind::kChurnStorm: {
-        Time t = at;
-        for (std::size_t c = 0; c < ev.cycles; ++c) {
-          for (const std::size_t victim : ev.nodes) {
-            FaultAction crash;
-            crash.kind = FaultAction::Kind::kCrash;
-            crash.victim = victim;
-            crash.down_us = ev.down_us;
-            push(t, std::move(crash));
-            t += ev.gap_us;
-          }
-        }
-        break;
-      }
-      case ScenarioEvent::Kind::kStall: {
-        // A pause train: count stalls of duration_us, one per period_us.
-        const std::size_t count = std::max<std::size_t>(ev.count, 1);
-        for (std::size_t c = 0; c < count; ++c) {
-          FaultAction stall;
-          stall.kind = FaultAction::Kind::kStall;
-          stall.victim = ev.node;
-          stall.down_us = ev.duration_us;
-          push(at + static_cast<Duration>(c) * ev.period_us,
-               std::move(stall));
-        }
-        break;
-      }
-      case ScenarioEvent::Kind::kSlowNode: {
-        FaultAction set;
-        set.kind = FaultAction::Kind::kCpuFactorSet;
-        set.victim = ev.node;
-        set.factor = ev.factor;
-        push(at, std::move(set));
-        if (ev.duration_us > 0) {
-          FaultAction clear;
-          clear.kind = FaultAction::Kind::kCpuFactorClear;
-          clear.victim = ev.node;
-          push(at + ev.duration_us, std::move(clear));
-        }
-        break;
-      }
-      case ScenarioEvent::Kind::kClockDrift: {
-        FaultAction set;
-        set.kind = FaultAction::Kind::kClockRateSet;
-        set.victim = ev.node;
-        set.factor = ev.rate;
-        push(at, std::move(set));
-        if (ev.duration_us > 0) {
-          FaultAction clear;
-          clear.kind = FaultAction::Kind::kClockRateClear;
-          clear.victim = ev.node;
-          push(at + ev.duration_us, std::move(clear));
-        }
-        break;
-      }
+      return;
     }
+    case Kind::kFlap: {
+      const ScenarioEvent down{.kind = Kind::kLinkDown,
+                               .duration_us = ev.down_us,
+                               .from = ev.from,
+                               .to = ev.to,
+                               .symmetric = ev.symmetric};
+      for (std::size_t c = 0; c < ev.count; ++c) {
+        schedule(down, at + static_cast<Duration>(c) * ev.period_us);
+      }
+      return;
+    }
+    case Kind::kChurnStorm: {
+      ScenarioEvent crash{.kind = Kind::kCrash, .down_us = ev.down_us};
+      Time t = at;
+      for (std::size_t c = 0; c < ev.cycles; ++c) {
+        for (const std::size_t victim : ev.nodes) {
+          crash.node = victim;
+          schedule(crash, t);
+          t += ev.gap_us;
+        }
+      }
+      return;
+    }
+    case Kind::kStall:
+      if (ev.count > 1) {  // a pause train: one stall per period_us
+        ScenarioEvent stall = ev;
+        stall.count = 1;
+        for (std::size_t c = 0; c < ev.count; ++c) {
+          schedule(stall, at + static_cast<Duration>(c) * ev.period_us);
+        }
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  // A primitive (random_churn's start and end included). Crashes and stalls
+  // hand their length to the world instead of scheduling an end: a crash's
+  // restart is a pending restart, a stall lifts itself.
+  const std::uint64_t id = next_interval_id_++;
+  schedule_.emplace(at, Edge{ev, id, false});
+  if (ev.duration_us > 0 && ev.kind != Kind::kStall) {
+    schedule_.emplace(at + ev.duration_us, Edge{ev, id, true});
   }
 }
 
@@ -229,18 +117,16 @@ void ChaosMonkey::run_for(Duration us) {
   const Time deadline = world_.engine().now() + us;
   while (world_.engine().now() < deadline) {
     fire_due_restarts();
-    apply_due_actions();
-    if (config_.random_faults && next_event_ <= world_.engine().now()) {
-      inject();
-    }
+    apply_due_edges();
+    if (next_draw_ <= world_.engine().now()) draw_churn();
     const Time step = std::min(
-        {deadline, next_event_, earliest_pending(), next_action_time()});
+        {deadline, next_draw_, earliest_pending(), next_edge_time()});
     if (step > world_.engine().now()) {
       world_.run_for(step - world_.engine().now());
     }
   }
   fire_due_restarts();
-  apply_due_actions();
+  apply_due_edges();
 }
 
 void ChaosMonkey::quiesce() {
@@ -261,7 +147,8 @@ void ChaosMonkey::quiesce() {
     pr.due = world_.engine().now();
   }
   fire_due_restarts();
-  next_event_ = kTimeMax;
+  churn_.reset();
+  next_draw_ = kTimeMax;
   // The convergence check that follows quiesce() must run against a healthy
   // network: nothing scheduled, nothing open, nothing pending.
   PLWG_ASSERT_MSG(schedule_.empty() && active_partitions_.empty() &&
@@ -277,7 +164,7 @@ Time ChaosMonkey::earliest_pending() const {
   return t;
 }
 
-Time ChaosMonkey::next_action_time() const {
+Time ChaosMonkey::next_edge_time() const {
   return schedule_.empty() ? kTimeMax : schedule_.begin()->first;
 }
 
@@ -301,62 +188,86 @@ void ChaosMonkey::fire_due_restarts() {
   }
 }
 
-void ChaosMonkey::apply_due_actions() {
+void ChaosMonkey::apply_due_edges() {
   while (!schedule_.empty() &&
          schedule_.begin()->first <= world_.engine().now()) {
-    FaultAction action = std::move(schedule_.begin()->second);
+    const Edge edge = std::move(schedule_.begin()->second);
     schedule_.erase(schedule_.begin());
-    apply(action);
+    apply(edge);
   }
 }
 
-void ChaosMonkey::apply(const FaultAction& action) {
-  switch (action.kind) {
-    case FaultAction::Kind::kPartitionStart:
-      active_partitions_.emplace(
-          action.interval,
-          ActivePartition{action.islands, action.server_islands});
-      partitions_injected_++;
-      apply_partitions();
+void ChaosMonkey::apply(const Edge& edge) {
+  using Kind = ScenarioEvent::Kind;
+  const ScenarioEvent& ev = edge.event;
+  switch (ev.kind) {
+    case Kind::kPartition:
+      if (!edge.end) {
+        active_partitions_.emplace(edge.interval, ev);
+        partitions_injected_++;
+        apply_partitions();
+      } else if (active_partitions_.erase(edge.interval) > 0) {
+        apply_partitions();
+      }
       break;
-    case FaultAction::Kind::kPartitionEnd:
-      if (active_partitions_.erase(action.interval) > 0) apply_partitions();
+    case Kind::kLinkDown:
+    case Kind::kLinkLossy: {
+      sim::LinkFault fault;
+      if (ev.kind == Kind::kLinkDown) {
+        fault.blocked = true;
+      } else {
+        fault.drop_probability = ev.drop_probability;
+        fault.jitter_us = ev.jitter_us;
+      }
+      const auto edit = [&](std::size_t from, std::size_t to) {
+        if (edge.end) {
+          world_.network().clear_link_fault(world_.node(from),
+                                            world_.node(to));
+        } else {
+          world_.network().set_link_fault(world_.node(from), world_.node(to),
+                                          fault);
+          link_faults_injected_++;
+        }
+      };
+      edit(ev.from, ev.to);
+      if (ev.symmetric) edit(ev.to, ev.from);
       break;
-    case FaultAction::Kind::kLinkFaultSet:
-      world_.network().set_link_fault(world_.node(action.from),
-                                      world_.node(action.to), action.fault);
-      link_faults_injected_++;
+    }
+    case Kind::kCrash:
+      crash_now(ev.node, ev.down_us);
       break;
-    case FaultAction::Kind::kLinkFaultClear:
-      world_.network().clear_link_fault(world_.node(action.from),
-                                        world_.node(action.to));
-      break;
-    case FaultAction::Kind::kCrash:
-      crash_now(action.victim, action.down_us);
-      break;
-    case FaultAction::Kind::kStall:
+    case Kind::kStall:
       // Stalling a crashed process is meaningless (nothing is running).
-      if (!world_.crashed(action.victim)) {
-        world_.network().stall_node(world_.node(action.victim),
-                                    action.down_us);
+      if (!world_.crashed(ev.node)) {
+        world_.network().stall_node(world_.node(ev.node), ev.duration_us);
         stalls_injected_++;
       }
       break;
-    case FaultAction::Kind::kCpuFactorSet:
-      world_.network().set_cpu_factor(world_.node(action.victim),
-                                      action.factor);
-      gray_faults_injected_++;
+    case Kind::kSlowNode:
+      world_.network().set_cpu_factor(world_.node(ev.node),
+                                      edge.end ? 1.0 : ev.factor);
+      if (!edge.end) gray_faults_injected_++;
       break;
-    case FaultAction::Kind::kCpuFactorClear:
-      world_.network().set_cpu_factor(world_.node(action.victim), 1.0);
+    case Kind::kClockDrift:
+      world_.network().set_clock_rate(world_.node(ev.node),
+                                      edge.end ? 1.0 : ev.rate);
+      if (!edge.end) gray_faults_injected_++;
       break;
-    case FaultAction::Kind::kClockRateSet:
-      world_.network().set_clock_rate(world_.node(action.victim),
-                                      action.factor);
-      gray_faults_injected_++;
+    case Kind::kRandomChurn:
+      if (edge.end) {
+        churn_.reset();
+        next_draw_ = kTimeMax;
+      } else {
+        PLWG_ASSERT_MSG(!churn_, "one random_churn at a time");
+        churn_ = ev;
+        next_draw_ = world_.engine().now() +
+                     exponential_us(rng_, ev.mean_interval_us, 0);
+      }
       break;
-    case FaultAction::Kind::kClockRateClear:
-      world_.network().set_clock_rate(world_.node(action.victim), 1.0);
+    case Kind::kRollingPartition:
+    case Kind::kFlap:
+    case Kind::kChurnStorm:
+      PLWG_ASSERT_MSG(false, "compound fault kind on the schedule");
       break;
   }
 }
@@ -426,27 +337,25 @@ void ChaosMonkey::crash_now(std::size_t victim, Duration down_us) {
   }
 }
 
-void ChaosMonkey::inject() {
+void ChaosMonkey::draw_churn() {
+  const ScenarioEvent& churn = *churn_;
   const Time now = world_.engine().now();
-  if (config_.crash_probability > 0 &&
-      crashed_.size() < config_.max_crashes &&
-      rng_.next_bool(config_.crash_probability)) {
+  ScenarioEvent fault;
+  if (churn.crash_probability > 0 && crashed_.size() < churn.max_crashes &&
+      rng_.next_bool(churn.crash_probability)) {
     // Crash a random not-yet-crashed process — possibly mid-partition.
     std::vector<std::size_t> alive;
     for (std::size_t i = 0; i < world_.num_processes(); ++i) {
       if (!is_crashed(i)) alive.push_back(i);
     }
     if (alive.size() > 1) {
-      const std::size_t victim = alive[rng_.next_below(alive.size())];
-      Duration down_us = 0;
-      if (config_.restart_probability > 0 &&
-          rng_.next_bool(config_.restart_probability)) {
-        down_us = std::max<Duration>(
-            static_cast<Duration>(rng_.next_exponential(
-                static_cast<double>(config_.mean_downtime_us))),
-            1'000);
+      fault.kind = ScenarioEvent::Kind::kCrash;
+      fault.node = alive[rng_.next_below(alive.size())];
+      if (churn.restart_probability > 0 &&
+          rng_.next_bool(churn.restart_probability)) {
+        fault.down_us = exponential_us(rng_, churn.mean_downtime_us, 1'000);
       }
-      crash_now(victim, down_us);
+      schedule(fault, now);
     }
   } else {
     // Random two-way split over the *alive* processes as a new interval —
@@ -462,28 +371,16 @@ void ChaosMonkey::inject() {
       (rng_.next_bool(0.5) ? left : right).push_back(i);
     }
     if (!left.empty() && !right.empty()) {
-      FaultAction start;
-      start.kind = FaultAction::Kind::kPartitionStart;
-      start.interval = next_interval_id_++;
-      start.islands = {std::move(left), std::move(right)};
+      fault.islands = {std::move(left), std::move(right)};
       for (std::size_t j = 0; j < world_.num_servers(); ++j) {
-        start.server_islands.push_back(j % 2);
+        fault.server_islands.push_back(j % 2);
       }
-      FaultAction end;
-      end.kind = FaultAction::Kind::kPartitionEnd;
-      end.interval = start.interval;
-      apply(start);
-      push(now + std::max<Duration>(
-                     static_cast<Duration>(rng_.next_exponential(
-                         static_cast<double>(config_.mean_partition_us))),
-                     100'000),
-           std::move(end));
+      fault.duration_us =
+          exponential_us(rng_, churn.mean_partition_us, 100'000);
+      schedule(fault, now);
     }
   }
-  next_event_ = now + std::max<Duration>(
-                          static_cast<Duration>(rng_.next_exponential(
-                              static_cast<double>(config_.mean_interval_us))),
-                          100'000);
+  next_draw_ = now + exponential_us(rng_, churn.mean_interval_us, 100'000);
 }
 
 }  // namespace plwg::harness

@@ -1,13 +1,16 @@
 // ChaosMonkey: fault injection against a SimWorld, driven step by step so
 // tests and benches stay in control of time.
 //
-// Two sources feed one timed-action schedule:
-//   * the randomized injector (ChaosConfig probabilities — partitions,
-//     crashes, crash–restart cycles), and
-//   * declarative scenarios (harness::Scenario via load()), expanded into
-//     primitive actions: partition intervals, directed-link faults, flap
-//     trains, crashes with scheduled restarts, and gray faults (process
-//     stalls, CPU slow-down intervals, clock-rate skew).
+// A fault is a harness::ScenarioEvent, and load(Scenario) is the only way
+// in. schedule() expands the compound kinds — rolling partitions, flap
+// trains, churn storms, stall trains, random churn — into primitive events
+// (partition intervals, directed-link faults, crashes with scheduled
+// restarts, gray faults: process stalls, CPU slow-down intervals,
+// clock-rate skew) and puts each one's start and, when it has a duration,
+// its end on one timed schedule. random_churn expands lazily: while it
+// runs, every draw from the seeded RNG becomes a primitive partition or
+// crash that goes through the same schedule(). A scenario without
+// random_churn never touches the RNG.
 //
 // Faults are *intervals*, not a single toggle: any number of partitions,
 // link faults and crashes may overlap — a crash can land mid-partition, a
@@ -22,37 +25,14 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
-#include "sim/network.hpp"
 #include "util/rng.hpp"
 
 namespace plwg::harness {
-
-struct ChaosConfig {
-  std::uint64_t seed = 1;
-  /// When false the randomized injector is off: only load()ed scenario
-  /// schedules run. Scenario replays must not consume RNG draws.
-  bool random_faults = true;
-  /// Mean time between random fault events (exponential), microseconds.
-  Duration mean_interval_us = 5'000'000;
-  /// Mean duration of a random partition interval, microseconds.
-  Duration mean_partition_us = 4'000'000;
-  /// Probability a random fault event is a crash instead of a partition.
-  double crash_probability = 0.0;
-  /// Most simultaneously-crashed processes chaos will allow (keeps a
-  /// majority alive). With restarts enabled the same process may crash
-  /// again after it came back.
-  std::size_t max_crashes = 0;
-  /// Probability a crashed process gets a restart scheduled (0 = crashes
-  /// are permanent, the pre-restart behaviour).
-  double restart_probability = 0.0;
-  /// Mean downtime between a crash and its scheduled restart (exponential),
-  /// microseconds.
-  Duration mean_downtime_us = 2'000'000;
-};
 
 /// One completed crash–restart cycle, for availability / MTTR accounting.
 struct RestartEvent {
@@ -63,11 +43,13 @@ struct RestartEvent {
 
 class ChaosMonkey {
  public:
-  ChaosMonkey(SimWorld& world, ChaosConfig config);
+  /// `seed` drives random_churn draws, and nothing else.
+  ChaosMonkey(SimWorld& world, std::uint64_t seed);
 
   /// Expand `scenario`'s fault events into the schedule, with event time 0
   /// anchored at the current sim time. May be called more than once (the
-  /// schedules interleave). Asserts every index fits the world.
+  /// schedules interleave; one random_churn runs at a time). Asserts every
+  /// index fits the world.
   void load(const Scenario& scenario);
 
   /// Advance the world by `us`, injecting faults on the way.
@@ -75,10 +57,11 @@ class ChaosMonkey {
 
   /// Drain every open fault interval — heal all partitions, clear all link
   /// faults, lift all gray faults (stalls, slow-downs, clock skew), fire
-  /// every pending restart, cancel not-yet-started scheduled
-  /// faults — and stop injecting. Crashed processes without a scheduled
-  /// restart stay down. Asserts the interval set is fully drained, so a
-  /// convergence check after quiesce() runs against a healthy network.
+  /// every pending restart, cancel not-yet-started scheduled faults, end
+  /// random churn — and stop injecting. Crashed processes without a
+  /// scheduled restart stay down. Asserts the interval set is fully
+  /// drained, so a convergence check after quiesce() runs against a
+  /// healthy network.
   void quiesce();
 
   [[nodiscard]] std::size_t partitions_injected() const {
@@ -113,46 +96,18 @@ class ChaosMonkey {
   [[nodiscard]] std::size_t open_partitions() const {
     return active_partitions_.size();
   }
-  /// Scheduled actions (fault starts and ends) not yet applied.
+  /// Scheduled fault starts and ends not yet applied.
   [[nodiscard]] std::size_t pending_actions() const {
     return schedule_.size();
   }
 
  private:
-  /// A primitive timed fault action. Scenario events expand into these;
-  /// the random injector mints them too, so both paths share the interval
-  /// machinery.
-  struct FaultAction {
-    enum class Kind {
-      kPartitionStart,
-      kPartitionEnd,
-      kLinkFaultSet,
-      kLinkFaultClear,
-      kCrash,
-      kStall,           // gray: freeze victim for down_us
-      kCpuFactorSet,    // gray: victim's per-packet cost *= factor
-      kCpuFactorClear,
-      kClockRateSet,    // gray: victim's local clock runs at factor
-      kClockRateClear,
-    };
-    Kind kind = Kind::kPartitionStart;
+  /// One edge of a primitive fault event on the schedule: its start, or
+  /// the end of an event with a duration.
+  struct Edge {
+    ScenarioEvent event;
     std::uint64_t interval = 0;  // pairs a start with its end
-    // kPartitionStart
-    std::vector<std::vector<std::size_t>> islands;
-    std::vector<std::size_t> server_islands;
-    // kLinkFaultSet / kLinkFaultClear (process indexes, directed)
-    std::size_t from = 0;
-    std::size_t to = 0;
-    sim::LinkFault fault;
-    // kCrash / gray kinds
-    std::size_t victim = 0;
-    Duration down_us = 0;  // 0 = permanent (no scheduled restart)
-    double factor = 1.0;   // kCpuFactorSet multiplier / kClockRateSet rate
-  };
-
-  struct ActivePartition {
-    std::vector<std::vector<std::size_t>> islands;
-    std::vector<std::size_t> server_islands;
+    bool end = false;
   };
 
   struct PendingRestart {
@@ -161,28 +116,29 @@ class ChaosMonkey {
     Time crashed_at;
   };
 
-  void push(Time at, FaultAction action);
-  void apply_due_actions();
-  void apply(const FaultAction& action);
+  /// Expand `ev` into primitive events starting at `at` and push their
+  /// edges. Same-instant edges apply in push order.
+  void schedule(const ScenarioEvent& ev, Time at);
+  void apply_due_edges();
+  void apply(const Edge& edge);
   /// Recompute the effective reachability classes as the refinement product
   /// of every open partition interval and push them into the world.
   void apply_partitions();
-  void set_link(std::size_t from, std::size_t to, bool symmetric,
-                const sim::LinkFault* fault);
   void crash_now(std::size_t victim, Duration down_us);
-  void inject();
+  /// One random_churn draw: a partition or a crash, scheduled now.
+  void draw_churn();
   void fire_due_restarts();
   [[nodiscard]] Time earliest_pending() const;
-  [[nodiscard]] Time next_action_time() const;
+  [[nodiscard]] Time next_edge_time() const;
   [[nodiscard]] bool is_crashed(std::size_t index) const;
 
   SimWorld& world_;
-  ChaosConfig config_;
   Rng rng_;
-  Time next_event_ = 0;  // next random injection (kTimeMax when disabled)
+  std::optional<ScenarioEvent> churn_;  // the running random_churn
+  Time next_draw_ = kTimeMax;           // its next draw
   std::uint64_t next_interval_id_ = 1;
-  std::multimap<Time, FaultAction> schedule_;
-  std::map<std::uint64_t, ActivePartition> active_partitions_;
+  std::multimap<Time, Edge> schedule_;
+  std::map<std::uint64_t, ScenarioEvent> active_partitions_;
   std::size_t partitions_injected_ = 0;
   std::size_t crashes_injected_ = 0;
   std::size_t restarts_fired_ = 0;

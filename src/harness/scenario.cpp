@@ -76,6 +76,13 @@ Duration ms_of(const JsonValue& v, const std::string& what,
   return static_cast<Duration>(std::llround(n * 1000.0));
 }
 
+/// A strictly positive length in milliseconds, as microseconds.
+Duration positive_ms_of(const JsonValue& v, const std::string& what) {
+  const Duration us = ms_of(v, what);
+  if (us <= 0) fail(what + " must be > 0 ms");
+  return us;
+}
+
 double probability_of(const JsonValue& v, const std::string& what) {
   const double n = number_of(v, what);
   if (n < 0.0 || n > 1.0) {
@@ -146,9 +153,11 @@ ScenarioEvent::Kind kind_of(const std::string& kind,
   if (kind == "stall") return ScenarioEvent::Kind::kStall;
   if (kind == "slow_node") return ScenarioEvent::Kind::kSlowNode;
   if (kind == "clock_drift") return ScenarioEvent::Kind::kClockDrift;
+  if (kind == "random_churn") return ScenarioEvent::Kind::kRandomChurn;
   fail("unknown event kind \"" + kind + "\" in " + where +
        " (expected partition, rolling_partition, link_down, link_lossy, "
-       "flap, crash, churn_storm, stall, slow_node, or clock_drift)");
+       "flap, crash, churn_storm, stall, slow_node, clock_drift, or "
+       "random_churn)");
 }
 
 ScenarioEvent parse_event(const JsonValue& v, std::size_t ordinal,
@@ -391,6 +400,43 @@ ScenarioEvent parse_event(const JsonValue& v, std::size_t ordinal,
       }
       break;
     }
+    case ScenarioEvent::Kind::kRandomChurn: {
+      check_keys(obj,
+                 {"kind", "at_ms", "duration_ms", "mean_interval_ms",
+                  "mean_partition_ms", "crash_probability", "max_crashes",
+                  "restart_probability", "mean_downtime_ms"},
+                 where);
+      if (const JsonValue* d = v.find("duration_ms")) {
+        ev.duration_us = ms_of(*d, "\"duration_ms\" in " + where);
+      }
+      ev.mean_interval_us =
+          positive_ms_of(require(obj, "mean_interval_ms", where),
+                         "\"mean_interval_ms\" in " + where);
+      ev.mean_partition_us =
+          positive_ms_of(require(obj, "mean_partition_ms", where),
+                         "\"mean_partition_ms\" in " + where);
+      if (const JsonValue* p = v.find("crash_probability")) {
+        ev.crash_probability =
+            probability_of(*p, "\"crash_probability\" in " + where);
+      }
+      if (const JsonValue* m = v.find("max_crashes")) {
+        ev.max_crashes = index_of(*m, "\"max_crashes\" in " + where);
+        if (ev.max_crashes >= n) {
+          fail("\"max_crashes\" in " + where +
+               " must leave at least one process up (< " +
+               std::to_string(n) + ")");
+        }
+      }
+      if (const JsonValue* p = v.find("restart_probability")) {
+        ev.restart_probability =
+            probability_of(*p, "\"restart_probability\" in " + where);
+      }
+      if (const JsonValue* d = v.find("mean_downtime_ms")) {
+        ev.mean_downtime_us =
+            positive_ms_of(*d, "\"mean_downtime_ms\" in " + where);
+      }
+      break;
+    }
   }
   return ev;
 }
@@ -483,6 +529,11 @@ Scenario parse_scenario(std::string_view json_text) {
   }
   for (std::size_t k = 0; k < events.as_array().size(); ++k) {
     s.events.push_back(parse_event(events.as_array()[k], k, s));
+  }
+  if (std::count_if(s.events.begin(), s.events.end(), [](const auto& ev) {
+        return ev.kind == ScenarioEvent::Kind::kRandomChurn;
+      }) > 1) {
+    fail("at most one random_churn per scenario");
   }
   return s;
 }

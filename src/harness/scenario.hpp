@@ -1,9 +1,9 @@
 // Declarative adversarial-scenario DSL: a JSON document describes a world
 // shape plus a schedule of timed fault events — asymmetric (one-way) links,
 // link flap trains, rolling partitions that never fully heal, crashes that
-// land mid-partition, churn storms — and every consumer (tests, the
-// scenario sweep, bench_chaos_availability) replays the same corpus under
-// `scenarios/` through the same loader.
+// land mid-partition, churn storms, seeded random churn — and every
+// consumer (tests, the scenario sweep, bench_chaos_availability) replays the
+// same corpus under `scenarios/` through the same loader.
 //
 // Schema (all times in milliseconds, all node references are process
 // indexes; unknown keys anywhere are rejected):
@@ -36,6 +36,20 @@
 //   crash             at_ms, node, down_ms? (omitted/0 = permanent)
 //   churn_storm       at_ms, nodes=[...], cycles, down_ms, gap_ms
 //                     (staggered crash–restart cycles across `nodes`)
+//   random_churn      at_ms, duration_ms?, mean_interval_ms,
+//                     mean_partition_ms, crash_probability?, max_crashes?,
+//                     restart_probability?, mean_downtime_ms?
+//                     (random faults drawn from the episode seed, one per
+//                     exponential mean_interval_ms gap (>= 100 ms after the
+//                     first draw): a crash of a random alive process with
+//                     crash_probability while fewer than max_crashes
+//                     (< processes) are down — restarted after an
+//                     exponential mean_downtime_ms (default 2000) with
+//                     restart_probability — else a random two-way split of
+//                     the alive processes lasting an exponential
+//                     mean_partition_ms (>= 100 ms). Probabilities and
+//                     max_crashes default to 0. Omitted/0 duration = draws
+//                     until quiesce. At most one per scenario.)
 //
 // Gray-failure kinds (the node is degraded, never dead):
 //   stall             at_ms, node, duration_ms, period_ms?, count?
@@ -82,17 +96,18 @@ struct ScenarioEvent {
     kStall,
     kSlowNode,
     kClockDrift,
+    kRandomChurn,
   };
   Kind kind = Kind::kPartition;
   Time at_us = 0;            // relative to scenario start
   Duration duration_us = 0;  // 0 = open until quiesce (where applicable)
 
   // partition / rolling_partition
-  std::vector<std::vector<std::size_t>> islands;
-  std::vector<std::size_t> server_islands;  // island index per name server
-  std::size_t steps = 0;                    // rolling: number of shifts
-  Duration step_us = 0;                     // rolling: interval per shift
-  std::size_t rotate_by = 1;                // rolling: members shifted/step
+  std::vector<std::vector<std::size_t>> islands{};
+  std::vector<std::size_t> server_islands{};  // island per name server
+  std::size_t steps = 0;                      // rolling: number of shifts
+  Duration step_us = 0;                       // rolling: interval per shift
+  std::size_t rotate_by = 1;                  // rolling: members shifted/step
 
   // link_down / link_lossy / flap
   std::size_t from = 0;
@@ -106,26 +121,34 @@ struct ScenarioEvent {
 
   // crash / churn_storm
   std::size_t node = 0;
-  std::vector<std::size_t> nodes;
+  std::vector<std::size_t> nodes{};
   std::size_t cycles = 0;
   Duration gap_us = 0;  // churn: stagger between successive crashes
 
   // stall / slow_node / clock_drift (stall trains reuse period_us + count)
   double factor = 1.0;  // slow_node CPU multiplier
   double rate = 1.0;    // clock_drift local-clock speed
+
+  // random_churn (duration_us bounds the drawing; 0 = until quiesce)
+  Duration mean_interval_us = 0;          // between draws
+  Duration mean_partition_us = 0;         // a drawn partition's length
+  double crash_probability = 0.0;         // a draw crashes, not splits
+  std::size_t max_crashes = 0;            // most processes down at once
+  double restart_probability = 0.0;       // a drawn crash gets a restart
+  Duration mean_downtime_us = 2'000'000;  // crash -> restart
 };
 
 struct Scenario {
-  std::string name;
-  std::string description;
+  std::string name{};
+  std::string description{};
   std::size_t processes = 6;
   std::size_t name_servers = 2;
-  std::vector<std::vector<std::size_t>> segments;  // empty = single LAN
+  std::vector<std::vector<std::size_t>> segments{};  // empty = single LAN
   Duration run_us = 40'000'000;
   Duration converge_timeout_us = 300'000'000;
   double net_drop_probability = 0.0;
   Duration net_jitter_us = 0;
-  std::vector<ScenarioEvent> events;
+  std::vector<ScenarioEvent> events{};
 };
 
 /// Parse and validate a scenario document. Throws ScenarioError with a

@@ -32,29 +32,16 @@ ScenarioResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   // Form one LWG over every process before any fault fires.
   std::vector<lwg::NullUser> users(n);
   const LwgId id{1};
-  world.lwg(0).join(id, users[0]);
-  world.run_until([&] { return world.lwg(0).view_of(id) != nullptr; },
-                  20'000'000);
-  for (std::size_t i = 1; i < n; ++i) world.lwg(i).join(id, users[i]);
-  result.formed = world.run_until(
-      [&] {
-        for (std::size_t i = 0; i < n; ++i) {
-          const lwg::LwgView* v = world.lwg(i).view_of(id);
-          if (v == nullptr || v->members.size() != n) return false;
-        }
-        return true;
-      },
-      60'000'000);
+  result.formed = world.form_lwg(id, users);
   if (!result.formed) {
     result.failure = "group never formed before fault injection";
     result.digest = world.trace_digest();
     return result;
   }
 
-  ChaosConfig chaos_cfg;
-  chaos_cfg.seed = seed;
-  chaos_cfg.random_faults = false;  // the scenario is the whole schedule
-  ChaosMonkey chaos(world, chaos_cfg);
+  // random_churn draws from its own stream: site 0's network RNG is
+  // Rng(seed), and the two must not move in lockstep.
+  ChaosMonkey chaos(world, seed ^ 0x9e3779b97f4a7c15ULL);
   chaos.load(scenario);
 
   // Fault phase: 100 ms sampling ticks. Each tick every alive process is

@@ -326,6 +326,24 @@ bool SimWorld::run_until(const std::function<bool()>& pred,
   return pred();
 }
 
+bool SimWorld::form_lwg(LwgId id, std::span<lwg::NullUser> users) {
+  constexpr Duration kTimeout = 60'000'000;
+  const std::size_t n = num_processes();
+  PLWG_ASSERT(users.size() == n);
+  lwg(0).join(id, users[0]);
+  run_until([&] { return lwg(0).view_of(id) != nullptr; }, kTimeout);
+  for (std::size_t i = 1; i < n; ++i) lwg(i).join(id, users[i]);
+  return run_until(
+      [&] {
+        for (std::size_t i = 0; i < n; ++i) {
+          const lwg::LwgView* v = lwg(i).view_of(id);
+          if (v == nullptr || v->members.size() != n) return false;
+        }
+        return true;
+      },
+      kTimeout);
+}
+
 void SimWorld::partition(const std::vector<std::vector<std::size_t>>& classes,
                          const std::vector<std::size_t>& server_sides) {
   std::vector<std::vector<NodeId>> node_classes(classes.size());

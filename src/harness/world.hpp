@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "durable/store.hpp"
@@ -91,6 +92,11 @@ class SimWorld {
   void run_for(Duration us);
   /// Step until `pred()` holds or `timeout_us` elapses; returns success.
   bool run_until(const std::function<bool()>& pred, Duration timeout_us);
+  /// Form LWG `id` over every process: process 0 joins and waits for its
+  /// view, then the rest join. Returns once every process holds the full
+  /// view; false if that has not happened a minute after the last join.
+  /// `users[i]` is process i's user.
+  bool form_lwg(LwgId id, std::span<lwg::NullUser> users);
 
   /// Partition the world: each inner vector lists *process indexes*; every
   /// process must appear exactly once. Name servers are assigned to the

@@ -9,6 +9,8 @@
 namespace plwg::lwg::testing {
 namespace {
 
+using Kind = harness::ScenarioEvent::Kind;
+
 class ChaosSoakTest : public LwgFixture,
                       public ::testing::WithParamInterface<std::uint64_t> {};
 
@@ -21,11 +23,11 @@ TEST_P(ChaosSoakTest, PartitionChaosConvergesAfterQuiesce) {
   const LwgId id{1};
   form_lwg(id, {0, 1, 2, 3, 4});
 
-  harness::ChaosConfig chaos_cfg;
-  chaos_cfg.seed = GetParam();
-  chaos_cfg.mean_interval_us = 4'000'000;
-  chaos_cfg.mean_partition_us = 3'000'000;
-  harness::ChaosMonkey chaos(world(), chaos_cfg);
+  harness::ChaosMonkey chaos(world(), GetParam());
+  chaos.load({.processes = 5,
+              .events = {{.kind = Kind::kRandomChurn,
+                          .mean_interval_us = 4'000'000,
+                          .mean_partition_us = 3'000'000}}});
   chaos.run_for(60'000'000);
   chaos.quiesce();
   EXPECT_GT(chaos.partitions_injected(), 0u);
@@ -53,13 +55,13 @@ TEST_P(ChaosSoakTest, CrashAndPartitionChaosConvergesToSurvivors) {
   const LwgId id{1};
   form_lwg(id, {0, 1, 2, 3, 4});
 
-  harness::ChaosConfig chaos_cfg;
-  chaos_cfg.seed = GetParam() ^ 0xbeef;
-  chaos_cfg.mean_interval_us = 5'000'000;
-  chaos_cfg.mean_partition_us = 3'000'000;
-  chaos_cfg.crash_probability = 0.4;
-  chaos_cfg.max_crashes = 2;
-  harness::ChaosMonkey chaos(world(), chaos_cfg);
+  harness::ChaosMonkey chaos(world(), GetParam() ^ 0xbeef);
+  chaos.load({.processes = 5,
+              .events = {{.kind = Kind::kRandomChurn,
+                          .mean_interval_us = 5'000'000,
+                          .mean_partition_us = 3'000'000,
+                          .crash_probability = 0.4,
+                          .max_crashes = 2}}});
   chaos.run_for(60'000'000);
   chaos.quiesce();
 
@@ -87,15 +89,15 @@ TEST_P(ChaosSoakTest, CrashRestartCyclesConvergeAfterQuiesce) {
   const LwgId id{1};
   form_lwg(id, {0, 1, 2, 3, 4});
 
-  harness::ChaosConfig chaos_cfg;
-  chaos_cfg.seed = GetParam() ^ 0xcafe;
-  chaos_cfg.mean_interval_us = 4'000'000;
-  chaos_cfg.mean_partition_us = 3'000'000;
-  chaos_cfg.crash_probability = 0.5;
-  chaos_cfg.max_crashes = 2;
-  chaos_cfg.restart_probability = 1.0;  // every crash comes back
-  chaos_cfg.mean_downtime_us = 2'000'000;
-  harness::ChaosMonkey chaos(world(), chaos_cfg);
+  harness::ChaosMonkey chaos(world(), GetParam() ^ 0xcafe);
+  chaos.load({.processes = 5,
+              .events = {{.kind = Kind::kRandomChurn,
+                          .mean_interval_us = 4'000'000,
+                          .mean_partition_us = 3'000'000,
+                          .crash_probability = 0.5,
+                          .max_crashes = 2,
+                          .restart_probability = 1.0,  // all come back
+                          .mean_downtime_us = 2'000'000}}});
   chaos.run_for(90'000'000);
   chaos.quiesce();
   EXPECT_EQ(chaos.restarts_fired(), chaos.crashes_injected());
@@ -202,9 +204,7 @@ TEST_F(OverlappingFaultTest, CrashLandsMidPartitionAndQuiesceDrainsAll) {
         "islands": [[0,1],[2,3,4,5]], "duration_ms": 8000 }
     ]
   })json");
-  harness::ChaosConfig chaos_cfg;
-  chaos_cfg.random_faults = false;
-  harness::ChaosMonkey chaos(world(), chaos_cfg);
+  harness::ChaosMonkey chaos(world(), 7);
   chaos.load(sc);
 
   std::size_t max_open = 0;
@@ -233,6 +233,52 @@ TEST_F(OverlappingFaultTest, CrashLandsMidPartitionAndQuiesceDrainsAll) {
   lwg(0).send(id, payload(3));
   EXPECT_TRUE(run_until(
       [&] { return user(5).total_delivered(id) > before; }, 30'000'000));
+}
+
+// A bounded random_churn stops drawing at its end: the fault counters
+// freeze while the world keeps running, and the partitions it drew heal on
+// their own schedule.
+using BoundedChurnTest = LwgFixture;
+
+TEST_F(BoundedChurnTest, StopsDrawingAtItsEnd) {
+  harness::WorldConfig cfg;
+  cfg.num_processes = 5;
+  cfg.num_name_servers = 2;
+  cfg.net.seed = 11;
+  build(cfg);
+  const LwgId id{1};
+  form_lwg(id, {0, 1, 2, 3, 4});
+
+  harness::ChaosMonkey chaos(world(), 11);
+  chaos.load({.processes = 5,
+              .events = {{.kind = Kind::kRandomChurn,
+                          .at_us = 1'000'000,
+                          .duration_us = 20'000'000,
+                          .mean_interval_us = 1'000'000,
+                          .mean_partition_us = 1'000'000,
+                          .crash_probability = 0.3,
+                          .max_crashes = 2,
+                          .restart_probability = 1.0,
+                          .mean_downtime_us = 1'000'000}}});
+  chaos.run_for(21'000'000);  // through the churn's end at t = 21 s
+  const std::size_t partitions = chaos.partitions_injected();
+  const std::size_t crashes = chaos.crashes_injected();
+  EXPECT_GT(partitions, 0u);
+  EXPECT_GT(crashes, 0u);
+  chaos.run_for(40'000'000);
+  EXPECT_EQ(chaos.partitions_injected(), partitions);
+  EXPECT_EQ(chaos.crashes_injected(), crashes);
+  EXPECT_FALSE(chaos.partitioned());
+  EXPECT_EQ(chaos.pending_actions(), 0u);
+  EXPECT_TRUE(chaos.crashed().empty());  // every crash drew a restart
+
+  chaos.quiesce();
+  ASSERT_TRUE(run_until(
+      [&] {
+        return lwg_converged(id, {0, 1, 2, 3, 4},
+                             members_of({0, 1, 2, 3, 4}));
+      },
+      300'000'000));
 }
 
 }  // namespace

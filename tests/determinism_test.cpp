@@ -81,15 +81,15 @@ EpisodeResult run_episode(std::uint64_t seed, std::size_t threads,
   EXPECT_TRUE(formed) << "seed " << seed << " threads " << threads
                       << ": lwg never formed";
 
-  ChaosConfig chaos_cfg;
-  chaos_cfg.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-  chaos_cfg.mean_interval_us = 1'500'000;
-  chaos_cfg.mean_partition_us = 1'000'000;
-  chaos_cfg.crash_probability = 0.3;
-  chaos_cfg.max_crashes = 3;
-  chaos_cfg.restart_probability = 0.7;
-  chaos_cfg.mean_downtime_us = 1'000'000;
-  ChaosMonkey chaos(world, chaos_cfg);
+  ChaosMonkey chaos(world, seed ^ 0x9e3779b97f4a7c15ULL);
+  chaos.load({.processes = cfg.num_processes,
+              .events = {{.kind = ScenarioEvent::Kind::kRandomChurn,
+                          .mean_interval_us = 1'500'000,
+                          .mean_partition_us = 1'000'000,
+                          .crash_probability = 0.3,
+                          .max_crashes = 3,
+                          .restart_probability = 0.7,
+                          .mean_downtime_us = 1'000'000}}});
   // Interleave fault injection with application traffic so the digest
   // covers payload bytes crossing the backbone mid-chaos.
   for (int slice = 0; slice < 30; ++slice) {

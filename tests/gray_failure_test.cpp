@@ -153,9 +153,7 @@ TEST(GrayChaosTest, QuiesceLiftsOpenGrayFaults) {
   harness::WorldConfig cfg;
   cfg.num_processes = 4;
   harness::SimWorld world(cfg);
-  harness::ChaosConfig chaos_cfg;
-  chaos_cfg.random_faults = false;
-  harness::ChaosMonkey chaos(world, chaos_cfg);
+  harness::ChaosMonkey chaos(world, 1);
   chaos.load(harness::parse_scenario(R"({
     "name": "open-gray",
     "processes": 4,

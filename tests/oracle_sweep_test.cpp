@@ -57,21 +57,22 @@ class OracleChaosSweepTest : public LwgFixture {
     for (std::size_t i = 0; i < n; ++i) indexes.push_back(i);
     form_lwg(id, indexes);
 
-    harness::ChaosConfig chaos_cfg;
-    chaos_cfg.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-    chaos_cfg.mean_interval_us = 4'000'000;
-    chaos_cfg.mean_partition_us = 3'000'000;
+    harness::ScenarioEvent churn{
+        .kind = harness::ScenarioEvent::Kind::kRandomChurn,
+        .mean_interval_us = 4'000'000,
+        .mean_partition_us = 3'000'000};
     if (seed % 3 == 0) {
-      chaos_cfg.crash_probability = 0.25;
-      chaos_cfg.max_crashes = (n - 1) / 2;
+      churn.crash_probability = 0.25;
+      churn.max_crashes = (n - 1) / 2;
       // Crash–restart cycles ride the same seeds; PLWG_SWEEP_RESTARTS=0
       // recovers the crashes-are-permanent sweep.
       if (env_u64("PLWG_SWEEP_RESTARTS", 1) != 0) {
-        chaos_cfg.restart_probability = 0.7;
-        chaos_cfg.mean_downtime_us = 2'000'000;
+        churn.restart_probability = 0.7;
+        churn.mean_downtime_us = 2'000'000;
       }
     }
-    harness::ChaosMonkey chaos(world(), chaos_cfg);
+    harness::ChaosMonkey chaos(world(), seed ^ 0x9e3779b97f4a7c15ULL);
+    chaos.load({.processes = n, .events = {churn}});
     chaos.run_for(45'000'000);
     chaos.quiesce();
 

@@ -175,6 +175,70 @@ TEST(ScenarioDsl, RejectsBadIslandsAndSegments) {
                   "must not repeat");
 }
 
+TEST(ScenarioDsl, ParsesRandomChurn) {
+  const Scenario s = parse_scenario(R"({
+    "name": "churn",
+    "events": [
+      { "kind": "random_churn", "at_ms": 500, "duration_ms": 30000,
+        "mean_interval_ms": 4000, "mean_partition_ms": 3000,
+        "crash_probability": 0.25, "max_crashes": 2,
+        "restart_probability": 0.7, "mean_downtime_ms": 2000 }
+    ]
+  })");
+  ASSERT_EQ(s.events.size(), 1u);
+  const ScenarioEvent& ev = s.events[0];
+  EXPECT_EQ(ev.kind, ScenarioEvent::Kind::kRandomChurn);
+  EXPECT_EQ(ev.at_us, 500'000);  // ms -> us throughout
+  EXPECT_EQ(ev.duration_us, 30'000'000);
+  EXPECT_EQ(ev.mean_interval_us, 4'000'000);
+  EXPECT_EQ(ev.mean_partition_us, 3'000'000);
+  EXPECT_DOUBLE_EQ(ev.crash_probability, 0.25);
+  EXPECT_EQ(ev.max_crashes, 2u);
+  EXPECT_DOUBLE_EQ(ev.restart_probability, 0.7);
+  EXPECT_EQ(ev.mean_downtime_us, 2'000'000);
+
+  // Only the two means are required: the default is partition-only churn
+  // that draws until quiesce.
+  const Scenario d = parse_scenario(R"({"name": "d", "events": [
+    {"kind": "random_churn", "at_ms": 0, "mean_interval_ms": 1.5,
+     "mean_partition_ms": 1}]})");
+  EXPECT_EQ(d.events[0].mean_interval_us, 1'500);
+  EXPECT_EQ(d.events[0].duration_us, 0);
+  EXPECT_EQ(d.events[0].crash_probability, 0.0);
+  EXPECT_EQ(d.events[0].max_crashes, 0u);
+}
+
+TEST(ScenarioDsl, RejectsBadRandomChurn) {
+  const auto churn = [](const std::string& keys) {
+    return R"({"name": "x", "events": [
+      {"kind": "random_churn", "at_ms": 0, )" + keys + "}]}";
+  };
+  const std::string means =
+      R"("mean_interval_ms": 4000, "mean_partition_ms": 3000)";
+  expect_rejected(churn(means + R"(, "crash_probability": 1.5)"),
+                  "\"crash_probability\" in events[0] must be in [0, 1]");
+  expect_rejected(churn(means + R"(, "restart_probability": -0.1)"),
+                  "\"restart_probability\" in events[0] must be in [0, 1]");
+  expect_rejected(churn(R"("mean_interval_ms": 0, "mean_partition_ms": 3000)"),
+                  "\"mean_interval_ms\" in events[0] must be > 0 ms");
+  expect_rejected(churn(R"("mean_interval_ms": 4000, "mean_partition_ms": -1)"),
+                  "\"mean_partition_ms\" in events[0]");
+  expect_rejected(churn(means + R"(, "mean_downtime_ms": 0)"),
+                  "\"mean_downtime_ms\" in events[0] must be > 0 ms");
+  expect_rejected(churn(R"("mean_interval_ms": 4000)"),
+                  "missing required key \"mean_partition_ms\"");
+  // max_crashes must leave one of the 6 default processes up.
+  expect_rejected(churn(means + R"(, "max_crashes": 6)"),
+                  "must leave at least one process up");
+  expect_rejected(churn(means + R"(, "seed": 7)"), "unknown key \"seed\"");
+  expect_rejected(R"({"name": "x", "events": [
+      {"kind": "random_churn", "at_ms": 0, "mean_interval_ms": 4000,
+       "mean_partition_ms": 3000},
+      {"kind": "random_churn", "at_ms": 9000, "mean_interval_ms": 4000,
+       "mean_partition_ms": 3000}]})",
+                  "at most one random_churn per scenario");
+}
+
 TEST(ScenarioDsl, CorpusLoadsAndCoversTheFaultFamilies) {
   const std::vector<std::string> files = list_scenario_files();
   ASSERT_GE(files.size(), 5u) << "corpus missing under " << scenario_dir();
@@ -208,6 +272,8 @@ TEST(ScenarioDsl, CorpusLoadsAndCoversTheFaultFamilies) {
       << "no churn-storm scenario";
   EXPECT_TRUE(crash_during_partition)
       << "no crash-during-partition scenario";
+  EXPECT_TRUE(kinds.contains(ScenarioEvent::Kind::kRandomChurn))
+      << "no random-churn scenario";
 }
 
 TEST(ScenarioDsl, ReplayIsDeterministic) {
