@@ -1,6 +1,7 @@
-// Hot-path microbenchmarks: simulator event loop, codec encode/decode,
-// member-set algebra, the Fig. 1 policy predicates, the PRNG, and an
-// end-to-end Fig. 2-style throughput run.
+// Hot-path microbenchmarks: simulator event loop, codec encode/decode, the
+// transport frame checksum, the vsync ORDERED receive path, member-set
+// algebra, the Fig. 1 policy predicates, the PRNG, and an end-to-end
+// Fig. 2-style throughput run.
 //
 // These are the two layers every experiment funnels through (millions of
 // events, one codec pass per message), so this file is the regression gate
@@ -15,11 +16,14 @@
 #include "fig2_common.hpp"
 #include "lwg/messages.hpp"
 #include "lwg/policy.hpp"
+#include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "transport/node_runtime.hpp"
 #include "util/codec.hpp"
 #include "util/member_set.hpp"
 #include "util/rng.hpp"
 #include "vsync/messages.hpp"
+#include "vsync/vsync_host.hpp"
 
 namespace plwg {
 namespace {
@@ -190,6 +194,102 @@ void BM_CodecDecodeFlushAck(benchmark::State& state) {
                           static_cast<std::int64_t>(enc.size()));
 }
 BENCHMARK(BM_CodecDecodeFlushAck);
+
+// --- transport and vsync receive path ----------------------------------------
+
+// The frame check every frame pays twice (once sent, once per receiver).
+void BM_FrameChecksum(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  std::uint32_t incarnation = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(transport::frame_checksum(incarnation++, bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FrameChecksum)->Arg(64)->Arg(1024);
+
+// A vsync user that only counts the bytes delivered to it.
+class CountingUser : public vsync::GroupUser {
+ public:
+  explicit CountingUser(vsync::VsyncHost& host) : host_(host) {}
+  void on_view(HwgId, const vsync::View&) override {}
+  void on_data(HwgId, ProcessId, std::span<const std::uint8_t> data) override {
+    bytes += data.size();
+  }
+  void on_stop(HwgId gid) override { host_.stop_ok(gid); }
+  std::size_t bytes = 0;
+
+ private:
+  vsync::VsyncHost& host_;
+};
+
+// Received ORDERED as a group member handles them: decode, log insert,
+// contiguous delivery, then the member's tick, which trims the stable
+// prefix. Drives the member endpoint of a real two-process group; each
+// iteration is one batch of kBatch messages plus one tick (simulated time
+// stands still, so the tick sends nothing after its first heartbeat).
+void BM_OrderedReceive(benchmark::State& state) {
+  constexpr std::uint64_t kBatch = 128;
+  sim::Engine engine;
+  sim::Network net(engine, sim::NetworkConfig{});
+  transport::NodeRuntime seq_node(net);
+  transport::NodeRuntime member_node(net);
+  vsync::VsyncHost seq_host(seq_node, vsync::VsyncConfig{});
+  vsync::VsyncHost member_host(member_node, vsync::VsyncConfig{});
+  CountingUser seq_user(seq_host);
+  CountingUser member_user(member_host);
+  const HwgId gid = seq_host.allocate_group_id();
+  seq_host.create_group(gid, seq_user);
+  member_host.join_group(gid, MemberSet{seq_node.process_id()}, member_user);
+  while (member_host.view_of(gid) == nullptr ||
+         member_host.view_of(gid)->members.size() < 2) {
+    if (engine.now() > 10'000'000) {
+      state.SkipWithError("the two-process group never formed");
+      return;
+    }
+    engine.run_for(10'000);
+  }
+  vsync::GroupEndpoint& member = *member_host.endpoint(gid);
+
+  auto wire = make_wire(static_cast<std::size_t>(state.range(0)));
+  wire.view = member_host.view_of(gid)->id;
+  wire.msg.origin = seq_node.process_id();
+  std::vector<Encoder> batch(kBatch);
+  std::uint64_t next_seq = 1;
+  // The next kBatch ORDERED of the view, advertising everything up to the
+  // previous batch as stable (the floor lags delivery by about one batch).
+  const auto encode_batch = [&] {
+    wire.stable_upto = next_seq - 1;
+    for (Encoder& enc : batch) {
+      enc.clear();
+      wire.msg.seq = next_seq;
+      wire.msg.sender_msg_id = next_seq;
+      wire.encode(enc);
+      ++next_seq;
+    }
+  };
+  encode_batch();
+  for (auto _ : state) {
+    for (const Encoder& enc : batch) {
+      Decoder dec(enc.bytes());
+      member.on_message(seq_node.process_id(), vsync::MsgType::kOrdered, dec);
+    }
+    member.on_tick();
+    state.PauseTiming();
+    encode_batch();
+    state.ResumeTiming();
+  }
+  if (member_user.bytes != (next_seq - 1 - kBatch) * wire.msg.payload.size()) {
+    state.SkipWithError("not every message was delivered once");
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_OrderedReceive)->Arg(64)->Arg(1024);
 
 // --- member sets, policy, rng ------------------------------------------------
 

@@ -34,7 +34,7 @@ trap 'rm -f "$tmp_json"' EXIT
   "${extra_args[@]}"
 
 python3 - "$tmp_json" "$OUT_JSON" <<'EOF'
-import json, sys
+import json, os, sys
 
 current = json.load(open(sys.argv[1]))
 out_path = sys.argv[2]
@@ -44,6 +44,9 @@ except (FileNotFoundError, json.JSONDecodeError):
     doc = {}
 doc.setdefault("baseline", None)
 doc["current"] = current
+# CPUs the 'current' run could use (google-benchmark's context num_cpus
+# is not always that figure inside a container).
+doc["host_cpus"] = len(os.sched_getaffinity(0))
 
 def rates(run):
     """benchmark name -> items/bytes per second (or 1/time as fallback)."""

@@ -113,6 +113,18 @@ inline constexpr std::size_t kFrameHeaderBytes = 10;
 /// Per-entry overhead inside a frame: [u8 port][u32 len].
 inline constexpr std::size_t kEntryHeaderBytes = 5;
 
+/// Checksum over a frame's protected bytes: the sender incarnation plus
+/// everything after the checksum field (count + all entries), so damage to
+/// any entry, anywhere in the batch, rejects the frame whole. FNV-1a's
+/// xor-multiply step on 32-bit little-endian words, then one step per tail
+/// byte, then one step over the protected byte count. Each step is a
+/// bijection of the state, so any damage confined to one word (every
+/// single-bit flip, every single-byte change) always changes the result,
+/// and the count step catches a truncation that the word steps alone would
+/// miss (trailing zero bytes).
+[[nodiscard]] std::uint32_t frame_checksum(
+    std::uint32_t incarnation, std::span<const std::uint8_t> protected_bytes);
+
 class NodeRuntime : public sim::NetHandler {
  public:
   /// Counters for inbound frames the demux refused. Hostile or corrupted

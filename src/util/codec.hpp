@@ -68,6 +68,7 @@ class Encoder {
   /// seq-list messages (ACK have-lists, NACK missing-lists) whose bodies
   /// are mostly such arrays.
   void put_u64_span(std::span<const std::uint64_t> vs) {
+    if (vs.empty()) return;  // memcpy from an empty span's null data() is UB
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t off = buf_.size();
       buf_.resize(off + vs.size_bytes());

@@ -147,7 +147,7 @@ class GroupEndpoint {
   // -- data path (group_endpoint_data.cpp) --
   void on_send_req(const SendReqMsg& msg);
   void drain_order_buffer(ProcessId origin);
-  void on_ordered(const OrderedMsgWire& msg);
+  void on_ordered(OrderedMsgWire wire);
   void on_nack(ProcessId from, const NackMsg& msg);
   void on_heartbeat(const HeartbeatMsg& msg);
   /// Sequencer only: recompute the view-wide stability floor from the

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
@@ -142,12 +143,14 @@ void GroupEndpoint::drain_order_buffer(ProcessId origin) {
   if (pending.empty()) order_buffer_.erase(it);
 }
 
-void GroupEndpoint::on_ordered(const OrderedMsgWire& wire) {
+void GroupEndpoint::on_ordered(OrderedMsgWire wire) {
   if (!view_matches(wire.view)) return;
   const std::uint64_t seq = wire.msg.seq;
   max_seen_ = std::max(max_seen_, seq);
   stable_upto_ = std::max(stable_upto_, wire.stable_upto);
-  msg_log_.emplace(seq, wire.msg);
+  // ORDERED mostly arrive in seq order, so the end hint makes the insert
+  // amortized O(1); a duplicate seq is dropped (first copy wins).
+  msg_log_.emplace_hint(msg_log_.end(), seq, std::move(wire.msg));
   // Delivery continues while the user is being stopped, but freezes once the
   // FLUSH_ACK (our have-list) is out: anything delivered after that point
   // might not be in the coordinator's cut.
@@ -160,7 +163,11 @@ void GroupEndpoint::deliver_contiguous() {
     auto it = msg_log_.find(delivered_upto_ + 1);
     if (it == msg_log_.end()) break;
     ++delivered_upto_;
-    if (delivered_set_.insert(it->first).second) {
+    // Skip a seq the flush cut already delivered. delivered_upto_ only
+    // grows, so the end hint makes the insert amortized O(1).
+    const std::size_t before = delivered_set_.size();
+    delivered_set_.emplace_hint(delivered_set_.end(), it->first);
+    if (delivered_set_.size() != before) {
       deliver_one(it->second);
       if (defunct()) return;
     }

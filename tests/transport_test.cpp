@@ -120,39 +120,61 @@ TEST_F(TransportTest, DoubleRegisterSamePortAsserts) {
 
 // --- frame hardening & incarnations ----------------------------------------
 
-/// Hand-rolled single-message frame in the runtime's batched wire format
-/// (independent reimplementation so a codec bug can't hide in both the
+struct RawEntry {
+  std::uint8_t port;
+  std::vector<std::uint8_t> payload;
+};
+
+/// Hand-rolled frame in the runtime's batched wire format (independent
+/// reimplementation so a codec or checksum bug can't hide in both the
 /// sender and the test): [inc u32][checksum u32][count u16][entries], each
-/// entry [port u8][len u32][payload].
-std::vector<std::uint8_t> raw_frame(std::uint8_t port, std::uint32_t inc,
-                                    std::vector<std::uint8_t> payload,
+/// entry [port u8][len u32][payload]. The checksum is FNV-1a's
+/// xor-multiply step over little-endian 32-bit words — the incarnation,
+/// then the count and entries — followed by one step per tail byte and a
+/// last step over the byte count of the count and entries.
+std::vector<std::uint8_t> raw_batch(std::uint32_t inc,
+                                    const std::vector<RawEntry>& entries,
                                     bool valid_checksum = true) {
-  std::vector<std::uint8_t> tail;  // count + the single entry
-  tail.push_back(1);
-  tail.push_back(0);  // count = 1, little endian
-  tail.push_back(port);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    tail.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  tail.insert(tail.end(), payload.begin(), payload.end());
-  std::uint32_t h = 2166136261u;
-  auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 16777619u;
+  std::vector<std::uint8_t> tail;  // count + the entries
+  auto put_le = [&tail](std::uint32_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      tail.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
   };
-  for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(inc >> (8 * i)));
-  for (std::uint8_t byte : tail) mix(byte);
+  put_le(static_cast<std::uint32_t>(entries.size()), 2);
+  for (const RawEntry& e : entries) {
+    tail.push_back(e.port);
+    put_le(static_cast<std::uint32_t>(e.payload.size()), 4);
+    tail.insert(tail.end(), e.payload.begin(), e.payload.end());
+  }
+  std::uint32_t h = 2166136261u;
+  auto step = [&h](std::uint32_t v) { h = (h ^ v) * 16777619u; };
+  step(inc);
+  std::size_t i = 0;
+  for (; i + 4 <= tail.size(); i += 4) {
+    step(static_cast<std::uint32_t>(tail[i]) |
+         static_cast<std::uint32_t>(tail[i + 1]) << 8 |
+         static_cast<std::uint32_t>(tail[i + 2]) << 16 |
+         static_cast<std::uint32_t>(tail[i + 3]) << 24);
+  }
+  for (; i < tail.size(); ++i) step(tail[i]);
+  step(static_cast<std::uint32_t>(tail.size()));
   if (!valid_checksum) h ^= 1;
   std::vector<std::uint8_t> out;
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(inc >> (8 * i)));
-  }
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(h >> (8 * i)));
+  for (std::uint32_t v : {inc, h}) {
+    for (int b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
   }
   out.insert(out.end(), tail.begin(), tail.end());
   return out;
+}
+
+/// Single-message frame.
+std::vector<std::uint8_t> raw_frame(std::uint8_t port, std::uint32_t inc,
+                                    std::vector<std::uint8_t> payload,
+                                    bool valid_checksum = true) {
+  return raw_batch(inc, {{port, std::move(payload)}}, valid_checksum);
 }
 
 std::vector<std::uint8_t> u32_payload(std::uint32_t v) {
@@ -179,6 +201,35 @@ TEST_F(TransportTest, ShortAndCorruptFramesAreCountedAndDropped) {
   b.on_packet(a.id(), raw_frame(3, 0, u32_payload(42), /*valid=*/false));
   EXPECT_TRUE(h.values.empty());
   EXPECT_EQ(b.stats().malformed_frames, 3u);
+}
+
+TEST_F(TransportTest, EverySingleBitFlipAndTruncationIsRefused) {
+  NodeRuntime a(net_), b(net_);
+  Recorder h;
+  b.register_port(Port::kApp, h);
+  const std::vector<std::uint8_t> frame =
+      raw_batch(7, {{3, u32_payload(11)}, {3, u32_payload(22)}});
+  b.on_packet(a.id(), frame);  // the intact frame is accepted whole
+  ASSERT_EQ(h.values, (std::vector<std::uint32_t>{11, 22}));
+  h.values.clear();
+
+  // Variants 0 .. 8n-1 flip one bit (incarnation, checksum, count, both
+  // entries); variants 8n .. 9n-1 truncate to every shorter length.
+  const std::size_t n = frame.size();
+  for (std::size_t v = 0; v < 9 * n; ++v) {
+    std::vector<std::uint8_t> damaged = frame;
+    if (v < 8 * n) {
+      damaged[v / 8] ^= static_cast<std::uint8_t>(1u << (v % 8));
+    } else {
+      damaged.resize(v - 8 * n);
+    }
+    const std::uint64_t before = b.stats().malformed_frames;
+    b.on_packet(a.id(), damaged);
+    EXPECT_EQ(b.stats().malformed_frames, before + 1) << "variant " << v;
+    EXPECT_TRUE(h.values.empty()) << "variant " << v;
+    h.values.clear();
+  }
+  EXPECT_EQ(b.stats().stale_incarnation_drops, 0u);
 }
 
 TEST_F(TransportTest, StaleIncarnationFramesAreDropped) {

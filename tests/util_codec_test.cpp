@@ -189,16 +189,20 @@ TEST(Codec, GetBytesViewTruncatedThrows) {
 // --- bulk u64 spans ----------------------------------------------------------
 
 TEST(Codec, U64SpanRoundTrips) {
-  std::vector<std::uint64_t> vals{0, 1, 0xDEADBEEF, ~std::uint64_t{0},
-                                  0x0123456789ABCDEFULL};
-  Encoder enc;
-  enc.put_u32(static_cast<std::uint32_t>(vals.size()));
-  enc.put_u64_span(vals);
-  Decoder dec(enc.bytes());
-  std::vector<std::uint64_t> out(dec.get_count(8));
-  dec.get_u64_span(out);
-  EXPECT_EQ(out, vals);
-  dec.expect_done();
+  // The empty list (an empty NACK or have-list) must round-trip too: its
+  // span's data() may be null, which a bare memcpy must never see.
+  const std::vector<std::vector<std::uint64_t>> cases{
+      {0, 1, 0xDEADBEEF, ~std::uint64_t{0}, 0x0123456789ABCDEFULL}, {}};
+  for (const std::vector<std::uint64_t>& vals : cases) {
+    Encoder enc;
+    enc.put_u32(static_cast<std::uint32_t>(vals.size()));
+    enc.put_u64_span(vals);
+    Decoder dec(enc.bytes());
+    std::vector<std::uint64_t> out(dec.get_count(8));
+    dec.get_u64_span(out);
+    EXPECT_EQ(out, vals);
+    dec.expect_done();
+  }
 }
 
 TEST(Codec, U64SpanMatchesPerElementEncoding) {

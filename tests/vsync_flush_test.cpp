@@ -159,6 +159,79 @@ TEST_F(VsyncFlushTest, BackToBackFlushesStaySane) {
   for (std::size_t i = 1; i < 4; ++i) EXPECT_EQ(flat(i), ref);
 }
 
+TEST_F(VsyncFlushTest, FetchIsAnsweredFromTheHoldersLog) {
+  // p1 misses three ORDERED that p2 has; the sequencer then crashes. The new
+  // coordinator (p1) can only complete the cut by FETCHing those messages
+  // from p2's log: NACKs to the dead sequencer go unanswered.
+  const HwgId gid = form_group(3);
+  net_->set_link_fault(node(0), node(1), sim::LinkFault{.blocked = true});
+  for (std::uint8_t m = 0; m < 3; ++m) host(0).send(gid, payload(m));
+  run_for(20'000);
+  ASSERT_EQ(user(1).total_delivered(gid), 0u);
+  ASSERT_EQ(user(2).total_delivered(gid), 3u);
+  net_->crash(node(0));
+  ASSERT_TRUE(run_until(
+      [&] { return converged(gid, {1, 2}, members_of({1, 2})); }, 15'000'000));
+  EXPECT_EQ(user(1).total_delivered(gid), 3u);
+  EXPECT_EQ(user(2).total_delivered(gid), 3u);
+}
+
+TEST_F(VsyncFlushTest, RetriedFlushCutDeliversEachMessageOnce) {
+  const HwgId gid = form_group(3);
+  host(0).send(gid, payload(0));
+  ASSERT_TRUE(
+      run_until([&] { return user(2).total_delivered(gid) == 1; }, 5'000'000));
+
+  // p2 misses three ORDERED, and the flush starts before a NACK repairs
+  // them, so the cut must deliver them at p2.
+  net_->set_link_fault(node(0), node(2), sim::LinkFault{.blocked = true});
+  for (std::uint8_t m = 1; m <= 3; ++m) host(0).send(gid, payload(m));
+  run_for(20'000);
+  net_->clear_link_fault(node(0), node(2));
+  ASSERT_EQ(user(2).total_delivered(gid), 1u);
+  const ViewId before = host(0).view_of(gid)->id;
+  host(0).endpoint(gid)->force_flush();
+
+  // Step event by event. Once p2's FLUSH_ACK frame is on the wire, cut the
+  // p2 -> p0 direction: p2's FLUSH_DONE is lost, so p0 re-sends the cut and
+  // p2 handles the same FLUSH_CUT a second time.
+  auto step_until = [&](const std::function<bool()>& pred) {
+    for (int i = 0; i < 1'000'000 && !pred(); ++i) {
+      if (!sim_.step()) break;
+    }
+    return pred();
+  };
+  const GroupEndpoint* ep = host(2).endpoint(gid);
+  const auto frame_out = [&] {
+    const std::uint64_t sent = nodes_[2]->stats().frames_sent;
+    return step_until([&] { return nodes_[2]->stats().frames_sent > sent; });
+  };
+  ASSERT_TRUE(
+      step_until([&] { return ep->state() == GroupEndpoint::State::kFlushing; }));
+  ASSERT_TRUE(frame_out());  // the FLUSH_ACK
+  net_->set_link_fault(node(2), node(0), sim::LinkFault{.blocked = true});
+  ASSERT_TRUE(
+      step_until([&] { return ep->state() == GroupEndpoint::State::kStopped; }));
+  EXPECT_EQ(user(2).total_delivered(gid), 4u);  // the cut filled the gap
+  const std::uint64_t blocked = net_->stats().link_blocked;
+  ASSERT_TRUE(frame_out());  // the FLUSH_DONE, eaten by the link
+  net_->clear_link_fault(node(2), node(0));
+  ASSERT_GT(net_->stats().link_blocked, blocked);
+
+  const Time stopped_at = sim_.now();
+  ASSERT_TRUE(run_until(
+      [&] {
+        const View* v = host(2).view_of(gid);
+        return v != nullptr && !(v->id == before) &&
+               converged(gid, {0, 1, 2}, members_of({0, 1, 2}));
+      },
+      10'000'000));
+  EXPECT_GE(sim_.now() - stopped_at, VsyncConfig{}.flush_retry_us);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(user(i).total_delivered(gid), 4u) << "member " << i;
+  }
+}
+
 TEST_F(VsyncFlushTest, LeaveDuringFlushIsHonoredEventually) {
   const HwgId gid = form_group(4);
   host(0).endpoint(gid)->force_flush();
